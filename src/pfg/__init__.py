@@ -18,7 +18,7 @@ from .graph import (
     reconstruct,
     validate,
 )
-from .occurrences import Occurrence, PathJoin, SegmentTable, build_path_join, build_segment_table
+from .occurrences import PathJoin, SegmentTable, build_path_join, build_segment_table
 from .partition import build_graph, partition_sequence
 from .stream import Emission, stream
 from .suffixes import SegmentJoin, SuffixTable, build_join, build_suffix_table
@@ -29,7 +29,6 @@ __all__ = [
     "FormatError",
     "GfaDocument",
     "MatchAutomaton",
-    "Occurrence",
     "PAD",
     "Pangenome",
     "PathJoin",

@@ -6,7 +6,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import ConfigError
-from .graph import _MIN_INPUT
+from .graph import invalid_letter
 
 
 @dataclass(frozen=True)
@@ -25,8 +25,8 @@ class TriggerSet:
         if len(lengths) != 1:
             raise ConfigError(f"trigger words have mixed lengths {sorted(lengths)}")
         for w in cleaned:
-            if any(ord(c) <= _MIN_INPUT for c in w):
-                raise ConfigError(f"trigger word {w!r} contains a reserved character")
+            if invalid_letter(w) is not None:
+                raise ConfigError(f"trigger word {w!r} contains a reserved or invalid character")
         return cls(words=tuple(cleaned), k=lengths.pop())
 
 

@@ -17,7 +17,7 @@ from .graph import reconstruct, validate
 from .occurrences import build_segment_table
 from .oracle import MAX_ORACLE_BYTES, oracle_bwt, oracle_sa
 from .partition import build_graph
-from .stream import stream
+from .stream import emission_batches, stream
 from .suffixes import build_suffix_table
 
 
@@ -121,7 +121,6 @@ def pfg2sa_main(argv=None, stdin=None, stdout=None, stderr=None):
         graph = graph_from_gfa(doc)
         suffix_table = build_suffix_table(graph)
         segment_table = build_segment_table(graph)
-        emissions = stream(graph, suffix_table, segment_table, with_bwt=args.bwt or args.verify)
         if args.verify:
             from .graph import Pangenome
 
@@ -136,7 +135,7 @@ def pfg2sa_main(argv=None, stdin=None, stdout=None, stderr=None):
                 return 1
             expected_sa = oracle_sa(pangenome, graph.k)
             expected_bwt = oracle_bwt(pangenome, expected_sa)
-            emissions = list(emissions)
+            emissions = list(stream(graph, suffix_table, segment_table))
             got_sa = [e.sa for e in emissions]
             got_bwt = [e.bwt for e in emissions]
             if got_sa != expected_sa or got_bwt != expected_bwt:
@@ -144,12 +143,20 @@ def pfg2sa_main(argv=None, stdin=None, stdout=None, stderr=None):
                 return 1
             if not args.quiet:
                 print("verified against the brute-force oracle", file=stderr)
-        for e in emissions:
+        for batch in emission_batches(graph, suffix_table, segment_table, with_bwt=args.bwt):
+            columns = (
+                range(batch.first, batch.first + len(batch.sa)),
+                batch.sa.tolist(),
+                batch.seg_id.tolist(),
+                batch.pos.tolist(),
+            )
             if args.bwt:
-                stdout.write(f"{e.index}\t{e.sa}\t{e.seg_id}\t{e.pos}\t{e.bwt}\n")
+                rows = zip(*columns, batch.bwt.tobytes().decode("ascii"))
+                lines = [f"{i}\t{s}\t{g}\t{p}\t{c}\n" for i, s, g, p, c in rows]
             else:
-                stdout.write(f"{e.index}\t{e.sa}\t{e.seg_id}\t{e.pos}\n")
+                lines = [f"{i}\t{s}\t{g}\t{p}\n" for i, s, g, p in zip(*columns)]
+            stdout.write("".join(lines))
         return 0
-    except (PfgError, OSError, RuntimeError) as exc:
+    except (PfgError, OSError) as exc:
         print(f"pfg2sa: {exc}", file=stderr)
         return 1

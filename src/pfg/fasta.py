@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from .automaton import TriggerSet
 from .errors import ConfigError, FormatError
-from .graph import _MIN_INPUT, Pangenome
+from .graph import Pangenome, invalid_letter
 
 
 def read_fasta(stream) -> Pangenome:
@@ -38,11 +38,11 @@ def read_fasta(stream) -> Pangenome:
         elif line.strip():
             if name is None:
                 raise FormatError("sequence data before the first header", line=lineno)
-            part = line.strip().upper()
-            for c in part:
-                if ord(c) <= _MIN_INPUT:
-                    raise FormatError(f"reserved or invalid character {c!r}", line=lineno)
-            chunks.append(part)
+            part = line.strip()
+            bad = invalid_letter(part)
+            if bad is not None:
+                raise FormatError(f"reserved or invalid character {bad!r}", line=lineno)
+            chunks.append(part.upper())
     flush(None)
     if not sequences:
         raise FormatError("no FASTA records found", line=1)

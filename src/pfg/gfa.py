@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import FormatError, StructureError
-from .graph import PAD, Pangenome, PrefixFreeGraph, Segment, validate
+from .graph import PAD, Pangenome, PrefixFreeGraph, Segment, invalid_letter, validate
 
 
 @dataclass
@@ -73,6 +73,9 @@ def read_gfa(stream) -> GfaDocument:
         elif kind == "S":
             if len(fields) < 3:
                 raise FormatError("S-record needs a name and a sequence", line=lineno)
+            bad = invalid_letter(fields[2].replace(PAD, ""))
+            if bad is not None:
+                raise FormatError(f"reserved or invalid character {bad!r} in S-record", line=lineno)
             doc.segments[fields[1]] = fields[2].upper()
         elif kind == "L":
             if len(fields) < 6:

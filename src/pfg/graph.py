@@ -9,6 +9,7 @@ characters.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from .errors import StructureError
@@ -20,8 +21,12 @@ RESERVED = (SENTINEL, SEPARATOR, PAD)
 
 # Input characters must rank strictly above PAD.  Since SENTINEL (36) and
 # SEPARATOR (35) sort below PAD (46) in byte order, rejecting everything
-# <= PAD rejects all three reserved characters at once.
+# <= PAD rejects all three reserved characters at once.  The alphabet ends
+# at the last printable ASCII character, so every input is one byte per
+# letter in the joins.
 _MIN_INPUT = ord(PAD)
+_MAX_INPUT = ord("~")
+_INVALID_INPUT = re.compile(f"[^{chr(_MIN_INPUT + 1)}-{chr(_MAX_INPUT)}]")
 
 
 def char_rank(c: str) -> int:
@@ -35,12 +40,18 @@ def char_rank(c: str) -> int:
     return ord(c) + 3
 
 
+def invalid_letter(data: str) -> str | None:
+    """The first character of ``data`` outside the input alphabet, or None."""
+    match = _INVALID_INPUT.search(data)
+    return match.group() if match else None
+
+
 def check_sequence(data: str) -> None:
-    """Reject empty sequences and sequences with reserved/low characters."""
+    """Reject empty sequences and sequences with reserved or invalid characters."""
     if not data:
         raise StructureError("empty sequence")
-    bad = min(data)
-    if ord(bad) <= _MIN_INPUT:
+    bad = invalid_letter(data)
+    if bad is not None:
         raise StructureError(f"reserved or invalid character {bad!r} in sequence")
 
 

@@ -1,11 +1,14 @@
-"""Path join and per-segment occurrence lists (the segment table)."""
+"""Path join and per-segment occurrence columns (the segment table)."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
-from .graph import SENTINEL, PrefixFreeGraph, pangenome_offsets, reconstruct
-from .suffixes import inverse, suffix_array_ints
+import numpy as np
+
+from .graph import SENTINEL, PrefixFreeGraph
+from .suffixes import build_join, suffix_array_ints
 
 END = 0  # terminates the path join; smallest symbol
 SEP = 1  # delimits paths; below every segment id
@@ -16,101 +19,104 @@ _ID_BASE = 2  # segment id i is stored as symbol i + 2
 class PathJoin:
     """All ID-paths concatenated over the integer symbol alphabet."""
 
-    symbols: list[int]
-    origins: list[tuple[int, int] | None]  # (path, step) or None for END/SEP
-
-
-@dataclass(frozen=True)
-class Occurrence:
-    start: int  # pangenome offset
-    rank: int  # right-context rank (ISA of the following join position)
-    prev: str  # preceding pangenome character, SENTINEL at sequence starts
+    symbols: np.ndarray  # int64
 
 
 @dataclass
 class SegmentTable:
-    """Per segment: length and occurrences sorted ascending by rank."""
+    """Occurrence columns in CSR layout, one group per segment.
 
-    lengths: list[int]
-    occurrences: list[list[Occurrence]]
+    The occurrences of segment ``i`` are rows ``offsets[i]:offsets[i + 1]``
+    of ``start``, ``rank`` and ``prev``, sorted ascending by rank.
+    """
+
+    lengths: np.ndarray  # int64 segment lengths, pads included
+    offsets: np.ndarray  # int64, one more than the segment count
+    start: np.ndarray  # int64 pangenome offset
+    rank: np.ndarray  # int64 right-context rank (ISA of the following join position)
+    prev: np.ndarray  # uint8 preceding pangenome byte, SENTINEL at sequence starts
+
+
+def _segment_lengths(graph: PrefixFreeGraph) -> np.ndarray:
+    return np.array([len(seg.content) for seg in graph.segments], dtype=np.int64)
+
+
+def _path_steps(graph: PrefixFreeGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Segment id of every path step in path order, and the steps per path."""
+    counts = np.array([len(path) for _, path in graph.paths], dtype=np.int64)
+    ids = np.fromiter(
+        chain.from_iterable(path for _, path in graph.paths), dtype=np.int64, count=int(counts.sum())
+    )
+    return ids, counts
 
 
 def build_path_join(graph: PrefixFreeGraph) -> PathJoin:
-    symbols = []
-    origins = []
-    for j, (_, path) in enumerate(graph.paths):
-        for t, sid in enumerate(path):
-            symbols.append(sid + _ID_BASE)
-            origins.append((j, t))
-        symbols.append(SEP)
-        origins.append(None)
-    symbols.append(END)
-    origins.append(None)
-    return PathJoin(symbols=symbols, origins=origins)
+    ids, counts = _path_steps(graph)
+    symbols = np.full(len(ids) + len(counts) + 1, SEP, dtype=np.int64)
+    # every earlier path adds one SEP before a step
+    symbols[np.arange(len(ids)) + np.repeat(np.arange(len(counts)), counts)] = ids + _ID_BASE
+    symbols[-1] = END
+    return PathJoin(symbols=symbols)
 
 
-def occurrence_starts(graph: PrefixFreeGraph) -> list[list[int]]:
-    """Pangenome start offset of every path step, per path."""
-    offsets = pangenome_offsets(graph)
-    k = graph.k
-    starts = []
-    for (_, path), base in zip(graph.paths, offsets):
-        row = []
-        s = base
-        for sid in path:
-            row.append(s)
-            s += len(graph.content(sid)) - k
-        starts.append(row)
-    return starts
-
-
-def right_context_ranks(join: PathJoin) -> list[list[int]]:
-    """Rank of the join suffix following each occurrence, per path.
+def right_context_ranks(join: PathJoin) -> np.ndarray:
+    """Rank of the join suffix following each path step, in path order.
 
     The ranks are raw ISA values of the path-join suffix array; only their
     relative order matters.
     """
-    isa = inverse(suffix_array_ints(join.symbols))
-    ranks: list[list[int]] = []
-    for i, origin in enumerate(join.origins):
-        if origin is None:
-            continue
-        j, t = origin
-        while len(ranks) <= j:
-            ranks.append([])
-        assert t == len(ranks[j])
-        ranks[j].append(isa[i + 1])
-    return ranks
+    sa = suffix_array_ints(join.symbols)
+    isa = np.empty_like(sa)
+    isa[sa] = np.arange(len(sa))
+    return isa[np.flatnonzero(join.symbols >= _ID_BASE) + 1]
 
 
-def preceding_chars(graph: PrefixFreeGraph, starts: list[list[int]]) -> list[list[str]]:
-    """Character before each occurrence; SENTINEL at sequence starts."""
-    prevs = []
-    for (_, path), row in zip(graph.paths, starts):
-        base = row[0]
-        seq = None
-        chars = []
-        for s in row:
-            if s == base:
-                chars.append(SENTINEL)
-            else:
-                if seq is None:
-                    seq = reconstruct(graph, len(prevs))
-                chars.append(seq[s - base - 1])
-        prevs.append(chars)
-    return prevs
+def occurrence_starts(graph: PrefixFreeGraph) -> np.ndarray:
+    """Pangenome start offset of every path step, in path order."""
+    ids, _ = _path_steps(graph)
+    widths = _segment_lengths(graph)[ids] - graph.k
+    starts = np.zeros(len(ids), dtype=np.int64)
+    np.cumsum(widths[:-1], out=starts[1:])
+    return starts
+
+
+def preceding_chars(graph: PrefixFreeGraph) -> np.ndarray:
+    """Byte before each path step's first letter, in path order.
+
+    It is the last letter of the nearest earlier step of the same path that
+    owns letters (a segment of length k owns none), or SENTINEL when there
+    is no such step.
+    """
+    ids, counts = _path_steps(graph)
+    lengths = _segment_lengths(graph)
+    k = graph.k
+    join = build_join(graph)
+    text = np.frombuffer(join.text.encode("ascii"), dtype=np.uint8)
+    boundaries = np.asarray(join.boundaries, dtype=np.int64)
+    steps = np.arange(len(ids))
+    owner = np.maximum.accumulate(np.where(lengths[ids] > k, steps, -1))
+    before = np.roll(owner, 1)
+    before[:1] = -1
+    path_first = np.repeat(np.cumsum(counts) - counts, counts)
+    inner = before >= path_first
+    owner_ids = ids[before[inner]]
+    prev = np.full(len(ids), ord(SENTINEL), dtype=np.uint8)
+    prev[inner] = text[boundaries[owner_ids] + lengths[owner_ids] - k - 1]
+    return prev
 
 
 def build_segment_table(graph: PrefixFreeGraph) -> SegmentTable:
-    """Assemble lengths, starts, ranks and preceding characters."""
-    starts = occurrence_starts(graph)
+    """Group the path steps by segment and sort each group by rank."""
+    ids, _ = _path_steps(graph)
+    lengths = _segment_lengths(graph)
     ranks = right_context_ranks(build_path_join(graph))
-    prevs = preceding_chars(graph, starts)
-    occurrences: list[list[Occurrence]] = [[] for _ in graph.segments]
-    for (_, path), s_row, r_row, p_row in zip(graph.paths, starts, ranks, prevs):
-        for sid, s, r, p in zip(path, s_row, r_row, p_row):
-            occurrences[sid].append(Occurrence(start=s, rank=r, prev=p))
-    for occ in occurrences:
-        occ.sort(key=lambda o: o.rank)
-    lengths = [len(seg.content) for seg in graph.segments]
-    return SegmentTable(lengths=lengths, occurrences=occurrences)
+    order = np.lexsort((ranks, ids))
+    offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(ids, minlength=len(lengths)), out=offsets[1:])
+    return SegmentTable(
+        lengths=lengths,
+        offsets=offsets,
+        start=occurrence_starts(graph)[order],
+        rank=ranks[order],
+        prev=preceding_chars(graph)[order],
+    )

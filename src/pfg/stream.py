@@ -1,20 +1,30 @@
 """Streaming the pangenome suffix array from the suffix and segment tables.
 
-Iteration walks the suffix table in sorted order, skips rows with no
-pangenome counterpart, groups the remaining rows into blocks of equal
-segment suffixes, and merges each block's occurrence lists by right-context
-rank.  Memory stays proportional to the two tables plus the widest block;
-the pangenome text is never materialized.
+One vectorized pass over the suffix table, made before anything is
+yielded, keeps the rows that have a pangenome counterpart, groups them into
+blocks of equal segment suffixes, and checks prefix-freeness and the
+emission count.  Emission then runs in batches of whole blocks: each batch
+expands its rows' occurrences and orders them by (block, right-context
+rank).  Memory stays proportional to the two tables plus one batch; the
+pangenome text is never materialized.
 """
 
 from __future__ import annotations
 
-import heapq
+from itertools import repeat
 from typing import Iterator, NamedTuple
 
+import numpy as np
+
+from .errors import StructureError
 from .graph import PrefixFreeGraph
 from .occurrences import SegmentTable
-from .suffixes import SuffixTable
+from .suffixes import SuffixTable, build_join
+
+# Most emissions in one batch.  A block wider than this is a batch of its
+# own.  Larger batches cost more peak memory in the formatted lines than
+# they save in per-batch overhead.
+BATCH_EMISSIONS = 4096
 
 
 class Emission(NamedTuple):
@@ -25,61 +35,88 @@ class Emission(NamedTuple):
     bwt: str | None
 
 
-def is_skipped(seg_id: int, pos: int, lengths: list[int], k: int) -> bool:
-    """True for sentinel/separator rows and segment suffixes of length <= k."""
-    if seg_id >= len(lengths):
-        return True  # the sentinel row
-    return lengths[seg_id] - pos <= k  # separator (0) or inside trigger/pads
+class Batch(NamedTuple):
+    """Emissions ``first, first + 1, ...`` as columns."""
+
+    first: int
+    sa: np.ndarray
+    seg_id: np.ndarray
+    pos: np.ndarray
+    bwt: np.ndarray | None  # uint8 letters, None without the BWT
 
 
-def block_end(table: SuffixTable, start: int, lengths: list[int], k: int) -> int:
-    """Exclusive end of the block of equal segment suffixes starting at ``start``.
+def mark_blocks(suffix_table: SuffixTable, lengths: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Boolean masks over the suffix table rows: kept rows, and block starts.
 
-    Consecutive rows share a block iff the LCP reaches the previous row's
-    segment-suffix length; such blocks are contiguous in the table.
+    A row is kept when it lies in a segment (not the sentinel) and its
+    segment suffix is longer than k.  A kept row joins the previous row's
+    block when that row is kept too and the LCP reaches that row's suffix
+    length.  Such rows must have equal suffix lengths; otherwise one
+    segment suffix is a proper prefix of another and StructureError is
+    raised.
     """
-    n = len(table.sa)
-    j = start + 1
-    length = lengths[table.seg_id[start]] - table.pos[start]
-    while j < n and table.lcp[j] >= length:
-        # equal suffix length is forced by prefix-freeness
-        assert lengths[table.seg_id[j]] - table.pos[j] == length
-        j += 1
-    return j
+    seg_id = suffix_table.seg_id
+    pos = suffix_table.pos
+    # the sentinel row's id is the segment count; give it length 0
+    suffix_len = np.append(lengths, 0)[np.minimum(seg_id, len(lengths))] - pos
+    kept = (seg_id < len(lengths)) & (suffix_len > k)
+    joins = np.zeros(len(kept), dtype=bool)
+    joins[1:] = kept[:-1] & (suffix_table.lcp[1:] >= suffix_len[:-1])
+    bad = np.flatnonzero(joins[1:] & (suffix_len[1:] != suffix_len[:-1]))
+    if bad.size:
+        i = int(bad[0]) + 1
+        raise StructureError(
+            f"segment suffixes are not prefix-free: the suffix of segment {seg_id[i - 1]} "
+            f"at offset {pos[i - 1]} is a proper prefix of the suffix of segment "
+            f"{seg_id[i]} at offset {pos[i]}"
+        )
+    return kept, kept & ~joins
 
 
-def emit_block(
-    rows: list[tuple[int, int]],
+def emission_batches(
+    graph: PrefixFreeGraph,
+    suffix_table: SuffixTable,
     segment_table: SegmentTable,
-    contents: list[str],
     with_bwt: bool = True,
-) -> Iterator[tuple[int, int, int, str | None]]:
-    """Merge the occurrence lists of a block's rows by ascending rank.
-
-    ``rows`` holds (seg_id, pos) pairs; yields (sa, seg_id, pos, bwt).
-    Ranks are globally unique, so no tie-break is needed.
-    """
-
-    def row_occurrences(sid, pos):
-        for occ in segment_table.occurrences[sid]:
-            yield occ.rank, occ.start + pos, sid, pos, occ.prev
-
-    if len(rows) == 1:
-        sid, pos = rows[0]
-        merged = row_occurrences(sid, pos)
-    else:
-        merged = heapq.merge(*(row_occurrences(sid, pos) for sid, pos in rows))
-    for _, sa, sid, pos, prev in merged:
+) -> Iterator[Batch]:
+    """Yield the emissions in order, in batches cut at block starts."""
+    k = graph.k
+    kept, block_start = mark_blocks(suffix_table, segment_table.lengths, k)
+    rows = np.flatnonzero(kept)
+    counts = np.diff(segment_table.offsets)
+    row_counts = counts[suffix_table.seg_id[rows]]
+    total = int(row_counts.sum())
+    expected = int(((segment_table.lengths - k) * counts).sum())
+    if total != expected:
+        raise StructureError(f"the tables give {total} emissions, expected {expected}")
+    row_begin = np.cumsum(row_counts) - row_counts  # first emission of each kept row
+    # kept-row index and first emission of every block, then the ends
+    first_rows = np.flatnonzero(block_start[rows])
+    bounds = np.append(row_begin[first_rows], total)
+    first_rows = np.append(first_rows, len(rows))
+    text = np.frombuffer(build_join(graph).text.encode("ascii"), dtype=np.uint8) if with_bwt else None
+    b = 0
+    while b < len(first_rows) - 1:
+        e0 = int(bounds[b])
+        c = max(int(np.searchsorted(bounds, e0 + BATCH_EMISSIONS, side="right")) - 1, b + 1)
+        e1 = int(bounds[c])
+        batch_rows = rows[first_rows[b] : first_rows[c]]
+        seg_ids = suffix_table.seg_id[batch_rows]
+        n_occ = counts[seg_ids]
+        row_of = np.repeat(np.arange(len(batch_rows)), n_occ)
+        # occurrence index = its row's first occurrence + its place in the row
+        shift = segment_table.offsets[seg_ids] - row_begin[first_rows[b] : first_rows[c]]
+        occ = np.arange(e0, e1) + np.repeat(shift, n_occ)
+        block = np.cumsum(block_start[batch_rows])[row_of]
+        order = np.lexsort((segment_table.rank[occ], block))
+        row_of = batch_rows[row_of[order]]
+        occ = occ[order]
+        pos = suffix_table.pos[row_of]
+        bwt = None
         if with_bwt:
-            yield sa, sid, pos, contents[sid][pos - 1] if pos else prev
-        else:
-            yield sa, sid, pos, None
-
-
-def derive_bwt(content: str, pos: int, prev: str) -> str:
-    """Character preceding an emission: in-segment when pos > 0, else the
-    occurrence's stored preceding character."""
-    return content[pos - 1] if pos else prev
+            bwt = np.where(pos > 0, text[suffix_table.sa[row_of] - 1], segment_table.prev[occ])
+        yield Batch(e0, segment_table.start[occ] + pos, suffix_table.seg_id[row_of], pos, bwt)
+        b = c
 
 
 def stream(
@@ -89,29 +126,7 @@ def stream(
     with_bwt: bool = True,
 ) -> Iterator[Emission]:
     """Yield (index, sa, id, pos[, bwt]) for every pangenome position."""
-    k = graph.k
-    lengths = segment_table.lengths
-    nseg = len(lengths)
-    contents = [seg.content for seg in graph.segments]
-    seg_ids = suffix_table.seg_id
-    positions = suffix_table.pos
-    n = len(suffix_table.sa)
-    expected = sum(
-        (lengths[sid] - k) * len(occ)
-        for sid, occ in enumerate(segment_table.occurrences)
-    )
-    counter = 0
-    i = 0
-    while i < n:
-        sid = seg_ids[i]
-        if sid >= nseg or lengths[sid] - positions[i] <= k:
-            i += 1
-            continue
-        j = block_end(suffix_table, i, lengths, k)
-        rows = [(seg_ids[r], positions[r]) for r in range(i, j)]
-        for sa, esid, pos, bwt in emit_block(rows, segment_table, contents, with_bwt):
-            yield Emission(counter, sa, esid, pos, bwt)
-            counter += 1
-        i = j
-    if counter != expected:
-        raise RuntimeError(f"emitted {counter} records, expected {expected}")
+    for batch in emission_batches(graph, suffix_table, segment_table, with_bwt):
+        index = range(batch.first, batch.first + len(batch.sa))
+        bwt = batch.bwt.tobytes().decode("ascii") if with_bwt else repeat(None)
+        yield from map(Emission, index, batch.sa.tolist(), batch.seg_id.tolist(), batch.pos.tolist(), bwt)

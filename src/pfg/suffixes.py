@@ -25,12 +25,12 @@ class SegmentJoin:
 
 @dataclass
 class SuffixTable:
-    """Parallel arrays over the segment join, in sorted-suffix order."""
+    """Parallel int64 columns over the segment join, in sorted-suffix order."""
 
-    sa: list[int]
-    lcp: list[int]
-    seg_id: list[int]
-    pos: list[int]
+    sa: np.ndarray
+    lcp: np.ndarray
+    seg_id: np.ndarray
+    pos: np.ndarray
 
     def __len__(self) -> int:
         return len(self.sa)
@@ -49,14 +49,12 @@ def build_join(graph: PrefixFreeGraph) -> SegmentJoin:
     return SegmentJoin(text="".join(parts), boundaries=boundaries)
 
 
-def suffix_array_ints(symbols) -> list[int]:
+def suffix_array_ints(symbols) -> np.ndarray:
     """Suffix array of an integer sequence by prefix doubling (lexsort)."""
     ranks = np.asarray(symbols, dtype=np.int64)
     n = ranks.size
-    if n == 0:
-        return []
-    if n == 1:
-        return [0]
+    if n <= 1:
+        return np.zeros(n, dtype=np.int64)
     order = np.argsort(ranks, kind="stable")
     r = np.empty(n, dtype=np.int64)
     sorted_vals = ranks[order]
@@ -76,19 +74,22 @@ def suffix_array_ints(symbols) -> list[int]:
         nr[order] = np.cumsum(changed) - 1
         r = nr
         h *= 2
-    return order.tolist()
+    return order
 
 
-def suffix_array(text: str) -> list[int]:
+def suffix_array(text: str) -> np.ndarray:
     """Suffix array of ``text`` under the reserved-character ranking."""
     raw = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
     return suffix_array_ints(_RANK_LUT[raw])
 
 
-def lcp_array(text: str, sa: list[int]) -> list[int]:
+def lcp_array(text: str, sa: np.ndarray) -> np.ndarray:
     """Kasai's algorithm; LCP[0] = -1 by convention."""
     n = len(sa)
-    isa = inverse(sa)
+    isa = np.empty(n, dtype=np.int64)
+    isa[sa] = np.arange(n)
+    isa = isa.tolist()
+    sa = np.asarray(sa).tolist()
     lcp = [0] * n
     h = 0
     for i in range(n):
@@ -103,41 +104,25 @@ def lcp_array(text: str, sa: list[int]) -> list[int]:
         if h:
             h -= 1
     lcp[0] = -1
-    return lcp
+    return np.array(lcp, dtype=np.int64)
 
 
-def inverse(sa: list[int]) -> list[int]:
-    """Inverse permutation: isa[sa[i]] = i."""
-    isa = [0] * len(sa)
-    for i, p in enumerate(sa):
-        isa[p] = i
-    return isa
-
-
-def annotate(join: SegmentJoin, sa: list[int]) -> tuple[list[int], list[int]]:
+def annotate(join: SegmentJoin, sa: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Segment index and in-segment offset per sorted suffix.
 
     Separator positions take the preceding segment's id with offset equal
     to its length; the final sentinel takes id = segment count, offset 0.
     """
     n = len(join.text)
-    seg_id_text = [0] * n
-    pos_text = [0] * n
-    sid = 0
-    offset = 0
-    for p in range(n - 1):
-        seg_id_text[p] = sid
-        pos_text[p] = offset
-        if join.text[p] == SEPARATOR:
-            sid += 1
-            offset = 0
-        else:
-            offset += 1
-    seg_id_text[n - 1] = len(join.boundaries)  # the sentinel row
-    pos_text[n - 1] = 0
-    seg_id = [seg_id_text[p] for p in sa]
-    pos = [pos_text[p] for p in sa]
-    return seg_id, pos
+    raw = np.frombuffer(join.text.encode("ascii"), dtype=np.uint8)
+    seg_id_text = np.zeros(n, dtype=np.int64)
+    # a separator closes its own segment, so the next id starts after it
+    np.cumsum(raw[:-1] == ord(SEPARATOR), out=seg_id_text[1:])
+    # the sentinel's id is the segment count, and its offset is 0
+    boundaries = np.append(np.asarray(join.boundaries, dtype=np.int64), n - 1)
+    pos_text = np.arange(n, dtype=np.int64) - boundaries[seg_id_text]
+    sa = np.asarray(sa)
+    return seg_id_text[sa], pos_text[sa]
 
 
 def build_suffix_table(graph: PrefixFreeGraph) -> SuffixTable:

@@ -52,6 +52,13 @@ SEGMENT_TABLE_ROWS = {
     5: (5, [(2, 8)]),
 }
 
+def occurrences(table, sid):
+    """(start, rank, prev) of each occurrence of segment ``sid``, in rank order."""
+    lo, hi = table.offsets[sid], table.offsets[sid + 1]
+    prev = table.prev[lo:hi].tobytes().decode("ascii")
+    return list(zip(table.start[lo:hi].tolist(), table.rank[lo:hi].tolist(), prev))
+
+
 FULL_SA = [9, 15, 1, 18, 5, 11, 8, 14, 0, 10, 16, 2, 19, 6, 12, 17, 3, 20, 7, 13, 4]
 
 

@@ -47,6 +47,15 @@ class TestFasta2Pfg:
         assert status == 1
         assert "line 3" in err
 
+    def test_non_ascii_letter_rejected(self, tmp_path):
+        triggers = tmp_path / "tag.txt"
+        triggers.write_text("TAG\n")
+        status, out, err = run(fasta2pfg_main, ["-t", str(triggers)], ">a\nACGT\u00c9ACGTACGTAG\n")
+        assert status == 1
+        assert out == ""
+        assert err.startswith("fasta2pfg: ") and err.count("\n") == 1
+        assert "line 2" in err
+
     def test_reads_input_file(self, trigger_file, tmp_path):
         fa = tmp_path / "p.fna"
         fa.write_text(FASTA)
@@ -103,6 +112,14 @@ class TestPfg2Sa:
         corrupted = running_gfa.replace("3+,0+,2+", "3+,2+,0+")
         status, _, err = run(pfg2sa_main, ["--verify"], corrupted)
         assert status == 1
+
+    def test_non_ascii_segment_rejected(self):
+        gfa = "H\tVN:Z:1.0\tTL:i:2\nS\t0\tAC\u00c9G..\nP\tp\t0+\t*\n"
+        status, out, err = run(pfg2sa_main, [], gfa)
+        assert status == 1
+        assert out == ""
+        assert err.startswith("pfg2sa: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_missing_header_tag_fails(self):
         gfa = "S\t0\tAC..\nP\tp\t0+\t*\n"

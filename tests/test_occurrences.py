@@ -14,7 +14,7 @@ from pfg.occurrences import (
     right_context_ranks,
 )
 
-from conftest import SEGMENT_TABLE_ROWS
+from conftest import SEGMENT_TABLE_ROWS, occurrences
 
 
 class TestPathJoin:
@@ -26,28 +26,28 @@ class TestPathJoin:
         for sid in ids[:-1]:
             expected.append(SEP if sid is None else sid + 2)
         expected.append(END)
-        assert join.symbols == expected
+        assert join.symbols.tolist() == expected
 
     def test_single_path(self):
         g = normalize({0: "AB.."}, [[0]], k=2)
-        assert build_path_join(g).symbols == [2, SEP, END]
+        assert build_path_join(g).symbols.tolist() == [2, SEP, END]
 
     def test_identical_paths_repeat(self):
         g = normalize({0: "AB.."}, [[0], [0]], k=2)
-        assert build_path_join(g).symbols == [2, SEP, 2, SEP, END]
+        assert build_path_join(g).symbols.tolist() == [2, SEP, 2, SEP, END]
 
 
 class TestStarts:
     def test_running_example(self, graph):
         starts = occurrence_starts(graph)
-        assert starts == [[0, 1, 2, 5], [8, 9, 11], [14, 15, 16, 18]]
+        assert starts.tolist() == [0, 1, 2, 5, 8, 9, 11, 14, 15, 16, 18]
 
     def test_segment_starts_by_id(self, graph):
-        starts = occurrence_starts(graph)
+        starts = occurrence_starts(graph).tolist()
+        steps = [sid for _, path in graph.paths for sid in path]
         by_id = {}
-        for (_, path), row in zip(graph.paths, starts):
-            for sid, s in zip(path, row):
-                by_id.setdefault(sid, []).append(s)
+        for sid, s in zip(steps, starts):
+            by_id.setdefault(sid, []).append(s)
         assert sorted(by_id[3]) == [0, 8, 14]
         assert sorted(by_id[2]) == [5, 11, 18]
         assert by_id[0] == [9]
@@ -58,11 +58,11 @@ class TestRanks:
         table = build_segment_table(graph)
         for sid, (length, rows) in SEGMENT_TABLE_ROWS.items():
             assert table.lengths[sid] == length
-            assert [(o.start, o.rank) for o in table.occurrences[sid]] == rows
+            assert [(start, rank) for start, rank, _ in occurrences(table, sid)] == rows
 
     def test_ranks_are_distinct(self, graph):
         table = build_segment_table(graph)
-        ranks = [o.rank for occ in table.occurrences for o in occ]
+        ranks = table.rank.tolist()
         assert len(ranks) == len(set(ranks))
         join = build_path_join(graph)
         assert set(ranks) <= set(range(len(join.symbols)))
@@ -71,7 +71,7 @@ class TestRanks:
         p = Pangenome(sequences=[("a", "CACT"), ("b", "CACT")])
         g = build_graph(p, TriggerSet.from_words(["AC"]))
         table = build_segment_table(g)
-        ranks = [o.rank for occ in table.occurrences for o in occ]
+        ranks = table.rank.tolist()
         assert len(ranks) == len(set(ranks))
 
 
@@ -79,29 +79,32 @@ class TestPrecedingChars:
     def test_running_example(self, graph):
         table = build_segment_table(graph)
         by_start = {
-            o.start: o.prev for occ in table.occurrences for o in occ
+            start: prev
+            for sid in range(len(graph.segments))
+            for start, _, prev in occurrences(table, sid)
         }
         assert by_start[9] == "C"  # P[8] within CACACT
         assert by_start[0] == "$"  # sequence start
         assert by_start[2] == "A"  # P[1] of CACGTACT
 
     def test_sequence_starts_marked(self, graph):
-        starts = occurrence_starts(graph)
-        prevs = preceding_chars(graph, starts)
-        assert [row[0] for row in prevs] == ["$", "$", "$"]
+        prevs = preceding_chars(graph).tobytes().decode("ascii")
+        path_starts = [0, 4, 7]  # first step of each path
+        assert [prevs[t] for t in path_starts] == ["$", "$", "$"]
+        assert prevs.count("$") == 3
 
 
 class TestPositionOwnership:
     def test_every_position_owned_once(self, graph):
         table = build_segment_table(graph)
         owned = []
-        for sid, occ in enumerate(table.occurrences):
-            for o in occ:
-                owned.extend(range(o.start, o.start + table.lengths[sid] - graph.k))
+        for sid in range(len(graph.segments)):
+            for start, _, _ in occurrences(table, sid):
+                owned.extend(range(start, start + table.lengths[sid] - graph.k))
         assert sorted(owned) == list(range(21))
 
     def test_single_segment_graph(self):
         g = normalize({0: "AB.."}, [[0]], k=2)
         table = build_segment_table(g)
-        assert table.lengths == [4]
-        assert len(table.occurrences[0]) == 1
+        assert table.lengths.tolist() == [4]
+        assert len(occurrences(table, 0)) == 1

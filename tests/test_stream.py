@@ -1,9 +1,18 @@
+import importlib
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from pfg import (
     PAD,
+    StructureError,
+    SuffixTable,
     build_graph,
     build_segment_table,
     build_suffix_table,
@@ -11,9 +20,16 @@ from pfg import (
     stream,
 )
 from pfg.oracle import oracle_bwt, oracle_sa, oracle_text
-from pfg.stream import block_end, derive_bwt, is_skipped
+from pfg.stream import emission_batches, mark_blocks
 
 from conftest import FULL_SA, random_instance
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+# the package exports the function ``stream`` under the module's name
+STREAM_MODULE = importlib.import_module("pfg.stream")
+
+# "ACG" (segment 2, offset 1) is a proper prefix of "ACGT.." and "ACGTT.."
+NOT_PREFIX_FREE = 'normalize({0: "GACG", 1: "CGACGT..", 2: "ACGTT.."}, [[0], [1], [2]], k=2)'
 
 
 @pytest.fixture
@@ -21,36 +37,83 @@ def tables(graph):
     return build_suffix_table(graph), build_segment_table(graph)
 
 
+@pytest.fixture
+def masks(graph, tables):
+    table, seg = tables
+    return mark_blocks(table, seg.lengths, graph.k)
+
+
+def block_rows(masks, start):
+    """Rows of the block that starts at row ``start``."""
+    kept, block_start = masks
+    assert block_start[start]
+    end = start + 1
+    while end < len(kept) and kept[end] and not block_start[end]:
+        end += 1
+    return list(range(start, end))
+
+
 class TestIsSkipped:
-    def test_first_thirteen_rows_skipped(self, graph, tables):
-        table, seg = tables
-        skipped = [
-            is_skipped(table.seg_id[i], table.pos[i], seg.lengths, graph.k)
-            for i in range(len(table))
-        ]
-        assert all(skipped[:13])
-        assert not skipped[13]
+    def test_first_thirteen_rows_skipped(self, masks):
+        kept, _ = masks
+        assert not kept[:13].any()
+        assert kept[13]
 
-    def test_short_segment_suffix_skipped(self, tables):
-        table, seg = tables
+    def test_short_segment_suffix_skipped(self, masks):
+        kept, _ = masks
         # row 10: ID 0, pos 2, remaining length 2 <= k
-        assert is_skipped(0, 2, seg.lengths, 2)
+        assert not kept[10]
 
-    def test_long_segment_suffix_reported(self, tables):
-        table, seg = tables
+    def test_long_segment_suffix_reported(self, masks):
+        kept, _ = masks
         # row 24: ID 5, pos 0, remaining length 5 > k
-        assert not is_skipped(5, 0, seg.lengths, 2)
+        assert kept[24]
 
 
 class TestBlocks:
-    def test_rows_20_21_form_one_block(self, graph, tables):
-        table, seg = tables
-        assert block_end(table, 20, seg.lengths, graph.k) == 22
+    def test_rows_20_21_form_one_block(self, masks):
+        assert block_rows(masks, 20) == [20, 21]
 
-    def test_rows_13_to_15_are_singletons(self, graph, tables):
-        table, seg = tables
+    def test_rows_13_to_15_are_singletons(self, masks):
         for i in (13, 14, 15):
-            assert block_end(table, i, seg.lengths, graph.k) == i + 1
+            assert block_rows(masks, i) == [i]
+
+
+class TestChecks:
+    @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+    def test_prefix_freeness_violation_raises_before_first_row(self, flags):
+        code = textwrap.dedent(
+            f"""
+            from pfg import StructureError, build_segment_table, build_suffix_table, normalize, stream
+            g = {NOT_PREFIX_FREE}
+            rows = 0
+            try:
+                for _ in stream(g, build_suffix_table(g), build_segment_table(g)):
+                    rows += 1
+            except StructureError as exc:
+                print(__debug__, rows, exc)
+            """
+        )
+        result = subprocess.run(
+            [sys.executable, *flags, "-c", code],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        debug, rows, message = result.stdout.split(" ", 2)
+        assert debug == str(not flags)
+        assert rows == "0"
+        assert "not prefix-free" in message
+
+    def test_emission_count_mismatch_raises_before_first_row(self, graph, tables):
+        table, seg = tables
+        # drop row 13 (segment 0, offset 0), which has one occurrence
+        short = SuffixTable(*(np.delete(column, 13) for column in (table.sa, table.lcp, table.seg_id, table.pos)))
+        emissions = stream(graph, short, seg)
+        with pytest.raises(StructureError, match="20 emissions, expected 21"):
+            next(emissions)
 
 
 class TestEmissions:
@@ -79,17 +142,6 @@ class TestEmissions:
 
     def test_without_bwt(self, graph, tables):
         assert all(e.bwt is None for e in stream(graph, *tables, with_bwt=False))
-
-
-class TestDeriveBwt:
-    def test_in_segment(self):
-        assert derive_bwt("CAC", 1, "$") == "C"
-
-    def test_sequence_start(self):
-        assert derive_bwt("CAC", 0, "$") == "$"
-
-    def test_stored_prev(self):
-        assert derive_bwt("ACAC", 0, "C") == "C"
 
 
 class TestProperties:
@@ -127,3 +179,32 @@ class TestProperties:
         table = build_suffix_table(g)
         seg = build_segment_table(g)
         assert [e.sa for e in stream(g, table, seg)] == [0, 1]
+
+
+class TestBatches:
+    @pytest.mark.parametrize(
+        "size, lengths",
+        [
+            (1, [1, 2, 3, 4, 1, 1, 3, 1, 1, 3, 1]),  # one batch per block
+            (3, [3, 3, 4, 2, 3, 2, 3, 1]),  # the 4-wide block of rows 20-21 alone
+            (4096, [21]),
+        ],
+    )
+    def test_batches_hold_whole_blocks(self, graph, tables, size, lengths, monkeypatch):
+        monkeypatch.setattr(STREAM_MODULE, "BATCH_EMISSIONS", size)
+        batches = list(emission_batches(graph, *tables))
+        assert [len(batch.sa) for batch in batches] == lengths
+        assert [batch.first for batch in batches] == [sum(lengths[:i]) for i in range(len(lengths))]
+
+    @pytest.mark.parametrize("size", [1, 2, 3])
+    def test_small_batches_match_oracle(self, size, monkeypatch):
+        monkeypatch.setattr(STREAM_MODULE, "BATCH_EMISSIONS", size)
+        for seed in range(25):
+            rng = random.Random(1000 + seed)
+            pangenome, triggers = random_instance(rng)
+            graph = build_graph(pangenome, triggers)
+            emissions = list(stream(graph, build_suffix_table(graph), build_segment_table(graph)))
+            expected_sa = oracle_sa(pangenome, graph.k)
+            assert [e.index for e in emissions] == list(range(len(expected_sa)))
+            assert [e.sa for e in emissions] == expected_sa
+            assert [e.bwt for e in emissions] == oracle_bwt(pangenome, expected_sa)

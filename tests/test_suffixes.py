@@ -4,7 +4,7 @@ import pytest
 
 from pfg import build_join, build_suffix_table, normalize
 from pfg.graph import char_rank
-from pfg.suffixes import annotate, inverse, lcp_array, suffix_array
+from pfg.suffixes import annotate, lcp_array, suffix_array
 
 from conftest import SUFFIX_TABLE_ROWS
 
@@ -50,17 +50,17 @@ class TestSuffixArray:
         assert sa[30] == 26
 
     def test_two_char_text(self):
-        assert suffix_array("A$") == [1, 0]
+        assert suffix_array("A$").tolist() == [1, 0]
 
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_naive_oracle(self, seed):
         rng = random.Random(seed)
         text = "".join(rng.choices("ACGT.#", k=200)) + "$"
-        assert suffix_array(text) == naive_suffix_array(text)
+        assert suffix_array(text).tolist() == naive_suffix_array(text)
 
     def test_reserved_ranking_applies(self):
         # '$' sorts below '#' although byte order says otherwise
-        assert suffix_array("#$") == [1, 0]
+        assert suffix_array("#$").tolist() == [1, 0]
 
 
 class TestLcpArray:
@@ -77,20 +77,7 @@ class TestLcpArray:
         rng = random.Random(100 + seed)
         text = "".join(rng.choices("ACG", k=rng.randint(2, 300)))
         sa = suffix_array(text)
-        assert lcp_array(text, sa) == naive_lcp(text, sa)
-
-
-class TestInverse:
-    def test_small(self):
-        assert inverse([2, 0, 1]) == [1, 2, 0]
-
-    def test_involution(self):
-        sa = [4, 2, 0, 3, 1]
-        assert inverse(inverse(sa)) == sa
-
-    def test_running_example(self, graph):
-        sa = suffix_array(build_join(graph).text)
-        assert inverse(sa)[30] == 0
+        assert lcp_array(text, sa).tolist() == naive_lcp(text, sa.tolist())
 
 
 class TestAnnotate:
