@@ -13,15 +13,13 @@ from .graph import (
     PrefixFreeGraph,
     Segment,
     normalize,
-    pangenome_length,
-    pangenome_offsets,
     reconstruct,
-    validate,
 )
 from .occurrences import PathJoin, SegmentTable, build_path_join, build_segment_table
 from .partition import build_graph, partition_sequence
 from .stream import Emission, stream
 from .suffixes import SegmentJoin, SuffixTable, build_join, build_suffix_table
+from .validation import validate
 
 __all__ = [
     "ConfigError",
@@ -51,8 +49,6 @@ __all__ = [
     "expand_gfa_paths",
     "graph_from_gfa",
     "normalize",
-    "pangenome_length",
-    "pangenome_offsets",
     "partition_sequence",
     "read_fasta",
     "read_gfa",

@@ -13,12 +13,13 @@ import sys
 from .errors import PfgError
 from .fasta import read_fasta, read_triggers
 from .gfa import expand_gfa_paths, graph_from_gfa, read_gfa, write_gfa
-from .graph import reconstruct, validate
+from .graph import Pangenome, reconstruct
 from .occurrences import build_segment_table
 from .oracle import MAX_ORACLE_BYTES, oracle_bwt, oracle_sa
 from .partition import build_graph
 from .stream import emission_batches, stream
 from .suffixes import build_suffix_table
+from .validation import validate
 
 
 def _builder_parser(prog, description):
@@ -122,8 +123,6 @@ def pfg2sa_main(argv=None, stdin=None, stdout=None, stderr=None):
         suffix_table = build_suffix_table(graph)
         segment_table = build_segment_table(graph)
         if args.verify:
-            from .graph import Pangenome
-
             pangenome = Pangenome(
                 sequences=[
                     (name, reconstruct(graph, j))

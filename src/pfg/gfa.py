@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import FormatError, StructureError
-from .graph import PAD, Pangenome, PrefixFreeGraph, Segment, invalid_letter, validate
+from .graph import PAD, Pangenome, PrefixFreeGraph, Segment, invalid_letter
+from .validation import _structural_report
 
 
 @dataclass
@@ -143,7 +144,9 @@ def expand_gfa_paths(doc: GfaDocument) -> Pangenome:
 
 
 def graph_from_gfa(doc: GfaDocument) -> PrefixFreeGraph:
-    """Interpret a GFA document written by :func:`write_gfa` as a graph."""
+    """Interpret a GFA document written by :func:`write_gfa` as a graph.
+
+    Prefix-freeness is left to the stream, which checks it before it emits."""
     k = doc.trigger_length
     if k is None:
         raise FormatError("missing TL header tag (trigger length)")
@@ -156,7 +159,7 @@ def graph_from_gfa(doc: GfaDocument) -> PrefixFreeGraph:
     segments = [Segment(int(s), doc.segments[s]) for s in ids]
     paths = [(name, [int(s) for s in steps]) for name, steps, _ in doc.paths]
     graph = PrefixFreeGraph(k=k, segments=segments, paths=paths)
-    report = validate(graph)
+    report = _structural_report(graph)
     if not report.ok:
         raise StructureError(
         "GFA does not encode a valid prefix-free graph: "

@@ -37,7 +37,7 @@ class SegmentTable:
     prev: np.ndarray  # uint8 preceding pangenome byte, SENTINEL at sequence starts
 
 
-def _segment_lengths(graph: PrefixFreeGraph) -> np.ndarray:
+def segment_lengths(graph: PrefixFreeGraph) -> np.ndarray:
     return np.array([len(seg.content) for seg in graph.segments], dtype=np.int64)
 
 
@@ -74,7 +74,7 @@ def right_context_ranks(join: PathJoin) -> np.ndarray:
 def occurrence_starts(graph: PrefixFreeGraph) -> np.ndarray:
     """Pangenome start offset of every path step, in path order."""
     ids, _ = _path_steps(graph)
-    widths = _segment_lengths(graph)[ids] - graph.k
+    widths = segment_lengths(graph)[ids] - graph.k
     starts = np.zeros(len(ids), dtype=np.int64)
     np.cumsum(widths[:-1], out=starts[1:])
     return starts
@@ -88,7 +88,7 @@ def preceding_chars(graph: PrefixFreeGraph) -> np.ndarray:
     is no such step.
     """
     ids, counts = _path_steps(graph)
-    lengths = _segment_lengths(graph)
+    lengths = segment_lengths(graph)
     k = graph.k
     join = build_join(graph)
     text = np.frombuffer(join.text.encode("ascii"), dtype=np.uint8)
@@ -108,7 +108,7 @@ def preceding_chars(graph: PrefixFreeGraph) -> np.ndarray:
 def build_segment_table(graph: PrefixFreeGraph) -> SegmentTable:
     """Group the path steps by segment and sort each group by rank."""
     ids, _ = _path_steps(graph)
-    lengths = _segment_lengths(graph)
+    lengths = segment_lengths(graph)
     ranks = right_context_ranks(build_path_join(graph))
     order = np.lexsort((ranks, ids))
     offsets = np.zeros(len(lengths) + 1, dtype=np.int64)

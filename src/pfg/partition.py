@@ -12,11 +12,14 @@ def partition_sequence(seq: str, automaton: MatchAutomaton, k: int) -> list[str]
     Every trigger occurrence closes a segment running from the previous
     boundary to the occurrence end; the new boundary is the occurrence
     start.  The final segment extends to the end of the sequence plus k
-    pad characters.  Overlapping occurrences each close a segment.
+    pad characters.  Overlapping occurrences each close a segment, except
+    an occurrence at the very start, which would close one of length k.
     """
     segments = []
     boundary = 0
     for end in automaton.match_ends(seq):
+        if end == k - 1:
+            continue
         segments.append(seq[boundary : end + 1])
         boundary = end - k + 1
     segments.append(seq[boundary:] + PAD * k)

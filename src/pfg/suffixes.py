@@ -6,13 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import PAD, SENTINEL, SEPARATOR, PrefixFreeGraph
+from .graph import SENTINEL, SEPARATOR, PrefixFreeGraph, char_rank
 
-# Byte -> rank lookup implementing $ < # < . < input bytes.
-_RANK_LUT = np.arange(256, dtype=np.int64) + 3
-_RANK_LUT[ord(SENTINEL)] = 0
-_RANK_LUT[ord(SEPARATOR)] = 1
-_RANK_LUT[ord(PAD)] = 2
+_RANK_LUT = np.array([char_rank(chr(b)) for b in range(256)], dtype=np.uint16)
 
 
 @dataclass
@@ -49,62 +45,80 @@ def build_join(graph: PrefixFreeGraph) -> SegmentJoin:
     return SegmentJoin(text="".join(parts), boundaries=boundaries)
 
 
-def suffix_array_ints(symbols) -> np.ndarray:
-    """Suffix array of an integer sequence by prefix doubling (lexsort)."""
-    ranks = np.asarray(symbols, dtype=np.int64)
-    n = ranks.size
-    if n <= 1:
-        return np.zeros(n, dtype=np.int64)
-    order = np.argsort(ranks, kind="stable")
-    r = np.empty(n, dtype=np.int64)
-    sorted_vals = ranks[order]
-    changed = np.ones(n, dtype=bool)
-    changed[1:] = sorted_vals[1:] != sorted_vals[:-1]
-    r[order] = np.cumsum(changed) - 1
+def _groups(sorted_keys: np.ndarray, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's group's first position, and which rows share their group."""
+    head = np.ones(len(sorted_keys), dtype=bool)
+    head[1:] = sorted_keys[1:] != sorted_keys[:-1]
+    return np.maximum.accumulate(np.where(head, positions, 0)), ~(head & np.append(head[1:], True))
+
+
+def _prefix_doubling(symbols) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Suffix array of an integer sequence, and the rank array of each round.
+
+    Prefix doubling that re-sorts, in each round, only the rows of groups
+    that still tie (Larsson and Sadakane).  A row's rank is the first sorted
+    position of its group, so ``ranks[t][i] == ranks[t][j]`` exactly when
+    suffixes ``i`` and ``j`` share their first ``2**t`` symbols.  The last
+    round kept still has a tie; the LCP never reaches ``2 ** len(ranks)``.
+    """
+    keys = np.asarray(symbols)
+    n = keys.size
+    sa = np.argsort(keys, kind="stable")
+    rank = np.empty(n, dtype=np.min_scalar_type(n))
+    rank[sa], tie = _groups(keys[sa], np.arange(n))
+    tied = np.flatnonzero(tie)  # sorted positions of groups with more than one row
+    ranks = []
     h = 1
-    while r[order[-1]] != n - 1:
-        key2 = np.full(n, -1, dtype=np.int64)
-        key2[: n - h] = r[h:]
-        order = np.lexsort((key2, r))
-        a = r[order]
-        b = key2[order]
-        changed = np.ones(n, dtype=bool)
-        changed[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
-        nr = np.empty(n, dtype=np.int64)
-        nr[order] = np.cumsum(changed) - 1
-        r = nr
+    while tied.size:
+        ranks.append(rank.copy())
+        rows = sa[tied]
+        after = rows + h
+        inside = after < n
+        key = rank[rows].astype(np.int64) * (n + 1)
+        key[inside] += rank[after[inside]].astype(np.int64) + 1
+        order = np.argsort(key)
+        sa[tied] = rows[order]
+        rank[sa[tied]], tie = _groups(key[order], tied)
+        tied = tied[tie]
         h *= 2
-    return order
+    return sa, ranks
+
+
+def _lcp_from_ranks(sa: np.ndarray, ranks: list[np.ndarray]) -> np.ndarray:
+    """LCP of adjacent suffix array rows by binary lifting over the ranks:
+    from the highest round down, a round of step ``h`` adds ``h`` where the
+    suffixes share their next ``h`` symbols too."""
+    n = len(sa)
+    lcp = np.zeros(n, dtype=np.int64)
+    a, b = sa[1:], sa[:-1]
+    for t in reversed(range(len(ranks))):
+        rank = ranks[t]
+        i, j = a + lcp[1:], b + lcp[1:]
+        inside = (i < n) & (j < n)
+        same = inside & (rank[np.minimum(i, n - 1)] == rank[np.minimum(j, n - 1)])
+        lcp[1:] += same * (1 << t)
+    lcp[:1] = -1
+    return lcp
+
+
+def suffix_array_ints(symbols) -> np.ndarray:
+    """Suffix array of an integer sequence."""
+    return _prefix_doubling(symbols)[0]
+
+
+def _symbols(text: str) -> np.ndarray:
+    """``text`` as symbols under the reserved-character ranking."""
+    return _RANK_LUT[np.frombuffer(text.encode("ascii"), dtype=np.uint8)]
 
 
 def suffix_array(text: str) -> np.ndarray:
     """Suffix array of ``text`` under the reserved-character ranking."""
-    raw = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-    return suffix_array_ints(_RANK_LUT[raw])
+    return suffix_array_ints(_symbols(text))
 
 
 def lcp_array(text: str, sa: np.ndarray) -> np.ndarray:
-    """Kasai's algorithm; LCP[0] = -1 by convention."""
-    n = len(sa)
-    isa = np.empty(n, dtype=np.int64)
-    isa[sa] = np.arange(n)
-    isa = isa.tolist()
-    sa = np.asarray(sa).tolist()
-    lcp = [0] * n
-    h = 0
-    for i in range(n):
-        r = isa[i]
-        if r == 0:
-            h = 0
-            continue
-        j = sa[r - 1]
-        while i + h < n and j + h < n and text[i + h] == text[j + h]:
-            h += 1
-        lcp[r] = h
-        if h:
-            h -= 1
-    lcp[0] = -1
-    return np.array(lcp, dtype=np.int64)
+    """LCP of adjacent rows of ``sa``, the suffix array of ``text``; LCP[0] = -1."""
+    return _lcp_from_ranks(np.asarray(sa), _prefix_doubling(_symbols(text))[1])
 
 
 def annotate(join: SegmentJoin, sa: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -127,7 +141,7 @@ def annotate(join: SegmentJoin, sa: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 def build_suffix_table(graph: PrefixFreeGraph) -> SuffixTable:
     join = build_join(graph)
-    sa = suffix_array(join.text)
-    lcp = lcp_array(join.text, sa)
+    sa, ranks = _prefix_doubling(_symbols(join.text))
+    lcp = _lcp_from_ranks(sa, ranks)
     seg_id, pos = annotate(join, sa)
     return SuffixTable(sa=sa, lcp=lcp, seg_id=seg_id, pos=pos)

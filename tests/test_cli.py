@@ -56,6 +56,14 @@ class TestFasta2Pfg:
         assert err.startswith("fasta2pfg: ") and err.count("\n") == 1
         assert "line 2" in err
 
+    def test_leading_trigger_makes_no_degenerate_segment(self, tmp_path):
+        triggers = tmp_path / "tag.txt"
+        triggers.write_text("TAG\n")
+        status, out, err = run(fasta2pfg_main, ["-t", str(triggers)], ">a\nTAGACGTACC\n")
+        assert status == 0
+        assert err == ""
+        assert [l for l in out.splitlines() if l.startswith("S")] == ["S\t0\tTAGACGTACC..."]
+
     def test_reads_input_file(self, trigger_file, tmp_path):
         fa = tmp_path / "p.fna"
         fa.write_text(FASTA)
@@ -120,6 +128,15 @@ class TestPfg2Sa:
         assert out == ""
         assert err.startswith("pfg2sa: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    def test_not_prefix_free_fails_before_output(self):
+        # "ACG", at offset 1 of segment 2, is a proper prefix of segment 0, "ACGT.."
+        gfa = "H\tVN:Z:1.0\tTL:i:2\nS\t0\tACGT..\nS\t1\tCGACGT..\nS\t2\tGACG\nP\ta\t2+,1+\t2M\nP\tb\t0+\t*\n"
+        status, out, err = run(pfg2sa_main, ["--bwt"], gfa)
+        assert status == 1
+        assert out == ""
+        assert err.startswith("pfg2sa: ") and err.count("\n") == 1
+        assert "not prefix-free" in err
 
     def test_missing_header_tag_fails(self):
         gfa = "S\t0\tAC..\nP\tp\t0+\t*\n"

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from pfg import (
@@ -5,9 +7,9 @@ from pfg import (
     PrefixFreeGraph,
     Segment,
     StructureError,
+    TriggerSet,
+    build_graph,
     normalize,
-    pangenome_length,
-    pangenome_offsets,
     reconstruct,
     validate,
 )
@@ -76,6 +78,26 @@ class TestValidate:
         report = validate(PrefixFreeGraph(k=2, segments=segs, paths=graph.paths))
         assert not report.ok
 
+    def test_not_prefix_free_is_one_error(self):
+        # "ACG" (segment 2, offset 1) is a proper prefix of "ACGT..", and
+        # "GACG" of "GACGT..": only the first violation is reported
+        g = normalize({0: "GACG", 1: "CGACGT..", 2: "ACGT.."}, [[0, 1], [2]], k=2)
+        report = validate(g)
+        assert len(report.errors) == 1
+        assert "not prefix-free" in report.errors[0].message
+
+    def test_long_trigger_free_sequence_memory(self):
+        # one segment of 100 kb: a sort of its suffixes as strings needs GBs
+        g = build_graph(Pangenome([("a", "ACG" * 33334)]), TriggerSet.from_words(["TAG"]))
+        tracemalloc.start()
+        try:
+            report = validate(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.ok
+        assert peak < 32 << 20
+
 
 class TestReconstruct:
     def test_running_example(self, graph):
@@ -86,20 +108,6 @@ class TestReconstruct:
     def test_single_segment(self):
         g = normalize({0: "XY.."}, [[0]], k=2)
         assert reconstruct(g, 0) == "XY"
-
-
-class TestOffsets:
-    def test_running_example(self, graph):
-        assert pangenome_offsets(graph) == [0, 8, 14]
-        assert pangenome_length(graph) == 21
-
-    def test_single_path(self):
-        g = normalize({0: "XY.."}, [[0]], k=2)
-        assert pangenome_offsets(g) == [0]
-
-    def test_duplicate_sequences_add(self):
-        g = normalize({0: "ABCDEFGH.."}, [[0], [0]], k=2)
-        assert pangenome_offsets(g) == [0, 8]
 
 
 class TestPangenome:

@@ -30,6 +30,11 @@ class TestPartitionSequence:
     def test_no_trigger_single_segment(self, automaton):
         assert partition_sequence("GGGG", automaton, 2) == ["GGGG.."]
 
+    def test_leading_trigger_closes_no_segment(self):
+        automaton = compile_triggers(TriggerSet.from_words(["TAG"]))
+        assert partition_sequence("TAGACGTACC", automaton, 3) == ["TAGACGTACC..."]
+        assert partition_sequence("TAGTAGA", automaton, 3) == ["TAGTAG", "TAGA..."]
+
     def test_segment_cover(self, automaton):
         for seq in ["CACGTACT", "CACACT", "ACGT", "AC"]:
             segments = partition_sequence(seq, automaton, 2)

@@ -4,7 +4,7 @@ import pytest
 
 from pfg import build_join, build_suffix_table, normalize
 from pfg.graph import char_rank
-from pfg.suffixes import annotate, lcp_array, suffix_array
+from pfg.suffixes import _prefix_doubling, _symbols, annotate, lcp_array, suffix_array
 
 from conftest import SUFFIX_TABLE_ROWS
 
@@ -71,6 +71,12 @@ class TestLcpArray:
         assert lcp[13] == 2
         assert lcp[21] == 4
         assert lcp[12] == 5
+
+    def test_periodic_text_lifts_more_than_ten_rounds(self):
+        text = "ACG" * 370 + "$"
+        sa, ranks = _prefix_doubling(_symbols(text))
+        assert len(ranks) > 10
+        assert lcp_array(text, sa).tolist() == naive_lcp(text, sa.tolist())
 
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_pairwise_oracle(self, seed):
