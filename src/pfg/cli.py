@@ -10,6 +10,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+import numpy as np
+
 from .errors import PfgError
 from .fasta import read_fasta, read_triggers
 from .gfa import expand_gfa_paths, graph_from_gfa, read_gfa, write_gfa
@@ -17,7 +19,7 @@ from .graph import Pangenome, reconstruct
 from .occurrences import build_segment_table
 from .oracle import MAX_ORACLE_BYTES, oracle_bwt, oracle_sa
 from .partition import build_graph
-from .stream import emission_batches, stream
+from .stream import Batch, emission_batches, stream
 from .suffixes import build_suffix_table
 from .validation import validate
 
@@ -97,6 +99,45 @@ def gfa2pfg_main(argv=None, stdin=None, stdout=None, stderr=None):
         return 1
 
 
+_TAB, _NEWLINE, _ZERO = b"\t\n0"
+
+
+def _format_batch(batch: Batch) -> str:
+    """The batch's output: a line of tab-separated index, SA, ID and pos
+    (and BWT letter, if the batch has the BWT) per emission.
+
+    Row ``r`` of a (line width, emissions) byte matrix holds byte ``r`` of
+    every line.  A column's digits come from repeated division by 10 and
+    its leading zero places are NUL; reading the matrix line by line and
+    dropping the NULs gives the text.
+    """
+    n = len(batch.sa)
+    if n == 0:
+        return ""
+    columns = (np.arange(batch.first, batch.first + n), batch.sa, batch.seg_id, batch.pos)
+    tops = [int(column.max()) for column in columns]
+    widths = [len(str(top)) for top in tops]
+    # each number and a tab, then the BWT letter and the newline; without
+    # the BWT the last tab row becomes the newline
+    lines = np.full((sum(widths) + len(columns) + 2 * (batch.bwt is not None), n), _TAB, dtype=np.uint8)
+    end = 0
+    for column, top, width in zip(columns, tops, widths):
+        rest = column.astype(np.min_scalar_type(top))
+        for place in range(width):
+            row = lines[end + width - 1 - place]
+            quotient = rest // 10
+            np.subtract(rest, quotient * 10, out=row, casting="unsafe")
+            row += _ZERO
+            if place:
+                row *= rest != 0
+            rest = quotient
+        end += width + 1
+    if batch.bwt is not None:
+        lines[end] = batch.bwt
+    lines[-1] = _NEWLINE
+    return lines.T.tobytes().replace(b"\0", b"").decode("ascii")
+
+
 def pfg2sa_main(argv=None, stdin=None, stdout=None, stderr=None):
     """Stream the pangenome suffix array from a prefix-free-graph GFA."""
     stdin = stdin or sys.stdin
@@ -143,18 +184,7 @@ def pfg2sa_main(argv=None, stdin=None, stdout=None, stderr=None):
             if not args.quiet:
                 print("verified against the brute-force oracle", file=stderr)
         for batch in emission_batches(graph, suffix_table, segment_table, with_bwt=args.bwt):
-            columns = (
-                range(batch.first, batch.first + len(batch.sa)),
-                batch.sa.tolist(),
-                batch.seg_id.tolist(),
-                batch.pos.tolist(),
-            )
-            if args.bwt:
-                rows = zip(*columns, batch.bwt.tobytes().decode("ascii"))
-                lines = [f"{i}\t{s}\t{g}\t{p}\t{c}\n" for i, s, g, p, c in rows]
-            else:
-                lines = [f"{i}\t{s}\t{g}\t{p}\n" for i, s, g, p in zip(*columns)]
-            stdout.write("".join(lines))
+            stdout.write(_format_batch(batch))
         return 0
     except (PfgError, OSError) as exc:
         print(f"pfg2sa: {exc}", file=stderr)

@@ -8,6 +8,7 @@ unsupported.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 from .errors import FormatError, StructureError
@@ -26,7 +27,12 @@ class GfaDocument:
     @property
     def trigger_length(self) -> int | None:
         tag = self.header_tags.get("TL")
-        return int(tag) if tag is not None else None
+        if tag is None:
+            return None
+        k = int(tag) if tag.isascii() and tag.isdigit() else 0
+        if not 0 < k <= sys.maxsize:
+            raise FormatError(f"TL header tag must be a positive integer up to {sys.maxsize}")
+        return k
 
 
 def write_gfa(graph: PrefixFreeGraph, sink) -> None:

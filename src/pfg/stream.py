@@ -22,8 +22,9 @@ from .occurrences import SegmentTable
 from .suffixes import SuffixTable, build_join
 
 # Most emissions in one batch.  A block wider than this is a batch of its
-# own.  Larger batches cost more peak memory in the formatted lines than
-# they save in per-batch overhead.
+# own.  A batch's columns and its formatted bytes are live at once, so a
+# larger batch raises peak memory; a smaller one pays the fixed cost of
+# each numpy call more often.
 BATCH_EMISSIONS = 4096
 
 

@@ -72,7 +72,9 @@ def _structural_report(graph: PrefixFreeGraph) -> ValidationReport:
             b = segs[path[t]].content
             if a[-k:] != b[:k]:
                 err(f"path {j} step {t}: adjacent segments do not overlap by k")
-        if not segs[path[-1]].content.endswith(PAD * k):
+        # count the trailing pads: PAD * k would be as large as the TL tag
+        last = segs[path[-1]].content
+        if len(last) - len(last.rstrip(PAD)) < k:
             err(f"path {j} does not end with {k} pad characters")
         for t, sid in enumerate(path[:-1]):
             if PAD in segs[sid].content:

@@ -1,10 +1,26 @@
+import importlib
 import io
+import random
+import tracemalloc
 
 import pytest
 
+from pfg import (
+    Pangenome,
+    TriggerSet,
+    build_graph,
+    build_segment_table,
+    build_suffix_table,
+    graph_from_gfa,
+    read_gfa,
+    stream,
+    write_gfa,
+)
 from pfg.cli import fasta2pfg_main, gfa2pfg_main, pfg2sa_main
 
 FASTA = ">s1\nCACGTACT\n>s2\nCACACT\n>s3\nCACGACT\n"
+# the package exports the function ``stream`` under the module's name
+STREAM_MODULE = importlib.import_module("pfg.stream")
 
 
 @pytest.fixture
@@ -27,6 +43,37 @@ def running_gfa(trigger_file):
     status, gfa, _ = run(fasta2pfg_main, ["-t", trigger_file], FASTA)
     assert status == 0
     return gfa
+
+
+def stream_lines(gfa, bwt):
+    """The expected ``pfg2sa`` output, formatted row by row from ``stream()``."""
+    graph = graph_from_gfa(read_gfa(io.StringIO(gfa)))
+    emissions = stream(graph, build_suffix_table(graph), build_segment_table(graph), with_bwt=bwt)
+    return "".join(
+        f"{e.index}\t{e.sa}\t{e.seg_id}\t{e.pos}" + (f"\t{e.bwt}" if bwt else "") + "\n"
+        for e in emissions
+    )
+
+
+@pytest.fixture(scope="module")
+def wide_gfa():
+    """A GFA whose index, SA and pos columns pass 9, 99, 999 and 9999.
+
+    One trigger-free sequence makes a segment of 10,050 letters; the
+    random ones add a few hundred short segments.
+    """
+    rng = random.Random(12)
+    sequences = [("long", "".join(rng.choice("ACG") for _ in range(10_050)))]
+    sequences += [(f"r{i}", "".join(rng.choice("ACGT") for _ in range(400))) for i in range(5)]
+    graph = build_graph(Pangenome(sequences=sequences), TriggerSet.from_words(["TA", "TC", "TG", "TT"]))
+    sink = io.StringIO()
+    write_gfa(graph, sink)
+    return sink.getvalue()
+
+
+@pytest.fixture(scope="module")
+def wide_lines(wide_gfa):
+    return {bwt: stream_lines(wide_gfa, bwt) for bwt in (False, True)}
 
 
 class TestFasta2Pfg:
@@ -137,6 +184,50 @@ class TestPfg2Sa:
         assert out == ""
         assert err.startswith("pfg2sa: ") and err.count("\n") == 1
         assert "not prefix-free" in err
+
+    @pytest.mark.parametrize("argv", [[], ["--bwt"]], ids=["plain", "bwt"])
+    @pytest.mark.parametrize("size", [1, 3, None])
+    def test_output_matches_stream_byte_for_byte(self, wide_gfa, wide_lines, argv, size, monkeypatch):
+        if size is not None:
+            monkeypatch.setattr(STREAM_MODULE, "BATCH_EMISSIONS", size)
+        status, out, err = run(pfg2sa_main, argv, wide_gfa)
+        assert (status, err) == (0, "")
+        # lists, so that a failure reports the first differing line quickly
+        assert out.split("\n") == wide_lines[bool(argv)].split("\n")
+
+    @pytest.mark.parametrize("argv", [[], ["--bwt"]], ids=["plain", "bwt"])
+    def test_no_paths_prints_nothing(self, running_gfa, argv):
+        gfa = "".join(l for l in running_gfa.splitlines(True) if not l.startswith("P"))
+        assert run(pfg2sa_main, argv, gfa) == (0, "", "")
+
+    @pytest.mark.parametrize("argv", [[], ["--bwt"]], ids=["plain", "bwt"])
+    def test_unused_segment(self, running_gfa, argv):
+        # without path s3, segment 4 (CGAC) has no occurrence
+        gfa = "".join(l for l in running_gfa.splitlines(True) if not l.startswith("P\ts3"))
+        status, out, err = run(pfg2sa_main, argv, gfa)
+        assert (status, err) == (0, "")
+        assert len(out.splitlines()) == 14
+        assert out == stream_lines(gfa, bwt=bool(argv))
+
+    @pytest.mark.parametrize("tag", ["x", "0", "99999999999999999999"])
+    def test_bad_header_tag_fails(self, running_gfa, tag):
+        gfa = running_gfa.replace("TL:i:2", f"TL:i:{tag}")
+        status, out, err = run(pfg2sa_main, [], gfa)
+        assert status == 1
+        assert out == ""
+        assert err.startswith("pfg2sa: TL header tag must be a positive integer") and err.count("\n") == 1
+
+    def test_large_header_tag_allocates_nothing_of_its_size(self, running_gfa):
+        gfa = running_gfa.replace("TL:i:2", "TL:i:100000000")
+        tracemalloc.start()
+        try:
+            status, out, err = run(pfg2sa_main, [], gfa)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (status, out) == (1, "")
+        assert "shorter than k" in err and err.count("\n") == 1
+        assert peak < 16 << 20
 
     def test_missing_header_tag_fails(self):
         gfa = "S\t0\tAC..\nP\tp\t0+\t*\n"
