@@ -2,12 +2,14 @@
 
 All three are filters: they read from standard input (or an optional file
 argument), write results to standard output and diagnostics to standard
-error.  Exit status 0 means no errors.
+error.  Exit status 0 means no errors, 1 an error, and 141 that the
+reader of standard output went away.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -32,12 +34,6 @@ def _builder_parser(prog, description):
     return parser
 
 
-def _open_input(path, stdin):
-    if path is None:
-        return stdin, False
-    return open(path), True
-
-
 def _report_warnings(report, quiet, stderr):
     if quiet:
         return
@@ -45,10 +41,9 @@ def _report_warnings(report, quiet, stderr):
         print(f"warning: {issue.message}", file=stderr)
 
 
-def _run_builder(graph_source, args, stdout, stderr):
-    with open(args.triggers) as fh:
+def _run_builder(pangenome, args, stdout, stderr):
+    with open(args.triggers, encoding="utf-8") as fh:
         triggers = read_triggers(fh)
-    pangenome = graph_source(triggers)
     graph = build_graph(pangenome, triggers)
     report = validate(graph)
     _report_warnings(report, args.quiet, stderr)
@@ -60,43 +55,67 @@ def _run_builder(graph_source, args, stdout, stderr):
     return 0
 
 
-def fasta2pfg_main(argv=None, stdin=None, stdout=None, stderr=None):
-    """Build a normalized prefix-free graph from FASTA and print it as GFA."""
+def _run_tool(tool, body, args, stdin, stdout, stderr):
+    """Run ``body`` at a tool's boundary and return its exit status.
+
+    Bad input and failed I/O print one ``tool: ...`` line and give 1.  A
+    reader that closed the output pipe ends the tool quietly with 141, the
+    status of a filter killed by SIGPIPE.
+    """
     stdin = stdin or sys.stdin
     stdout = stdout or sys.stdout
     stderr = stderr or sys.stderr
-    args = _builder_parser("fasta2pfg", fasta2pfg_main.__doc__).parse_args(argv)
     try:
-        source, close = _open_input(args.input, stdin)
-        try:
-            pangenome = read_fasta(source)
-        finally:
-            if close:
-                source.close()
-        return _run_builder(lambda _t: pangenome, args, stdout, stderr)
-    except (PfgError, OSError) as exc:
-        print(f"fasta2pfg: {exc}", file=stderr)
+        status = body(args, stdin, stdout, stderr)
+        stdout.flush()
+        return status
+    except BrokenPipeError:
+        _discard_output(stdout)
+        return 141
+    except (PfgError, OSError, UnicodeDecodeError) as exc:
+        print(f"{tool}: {exc}", file=stderr)
         return 1
+
+
+def _discard_output(stdout):
+    """Point stdout's file descriptor at the null device, so that flushing
+    what is still buffered, at exit too, meets no closed pipe."""
+    try:
+        fd = stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, fd)
+    os.close(null)
+
+
+def _read(path, stdin, reader):
+    """``reader`` applied to the file at ``path``, or to stdin without one."""
+    if path is None:
+        return reader(stdin)
+    with open(path, encoding="utf-8") as source:
+        return reader(source)
+
+
+def _fasta2pfg(args, stdin, stdout, stderr):
+    return _run_builder(_read(args.input, stdin, read_fasta), args, stdout, stderr)
+
+
+def _gfa2pfg(args, stdin, stdout, stderr):
+    pangenome = expand_gfa_paths(_read(args.input, stdin, read_gfa))
+    return _run_builder(pangenome, args, stdout, stderr)
+
+
+def fasta2pfg_main(argv=None, stdin=None, stdout=None, stderr=None):
+    """Build a normalized prefix-free graph from FASTA and print it as GFA."""
+    args = _builder_parser("fasta2pfg", fasta2pfg_main.__doc__).parse_args(argv)
+    return _run_tool("fasta2pfg", _fasta2pfg, args, stdin, stdout, stderr)
 
 
 def gfa2pfg_main(argv=None, stdin=None, stdout=None, stderr=None):
     """Re-partition the paths of a GFA graph and print the result as GFA."""
-    stdin = stdin or sys.stdin
-    stdout = stdout or sys.stdout
-    stderr = stderr or sys.stderr
     args = _builder_parser("gfa2pfg", gfa2pfg_main.__doc__).parse_args(argv)
-    try:
-        source, close = _open_input(args.input, stdin)
-        try:
-            doc = read_gfa(source)
-        finally:
-            if close:
-                source.close()
-        pangenome = expand_gfa_paths(doc)
-        return _run_builder(lambda _t: pangenome, args, stdout, stderr)
-    except (PfgError, OSError) as exc:
-        print(f"gfa2pfg: {exc}", file=stderr)
-        return 1
+    return _run_tool("gfa2pfg", _gfa2pfg, args, stdin, stdout, stderr)
 
 
 _TAB, _NEWLINE, _ZERO = b"\t\n0"
@@ -138,11 +157,37 @@ def _format_batch(batch: Batch) -> str:
     return lines.T.tobytes().replace(b"\0", b"").decode("ascii")
 
 
+def _pfg2sa(args, stdin, stdout, stderr):
+    graph = graph_from_gfa(_read(args.input, stdin, read_gfa))
+    suffix_table = build_suffix_table(graph)
+    segment_table = build_segment_table(graph)
+    if args.verify:
+        pangenome = Pangenome(
+            sequences=[
+                (name, reconstruct(graph, j))
+                for j, (name, _) in enumerate(graph.paths)
+            ]
+        )
+        if pangenome.total_length > MAX_ORACLE_BYTES:
+            print("pfg2sa: --verify is limited to small inputs", file=stderr)
+            return 1
+        expected_sa = oracle_sa(pangenome, graph.k)
+        expected_bwt = oracle_bwt(pangenome, expected_sa)
+        emissions = list(stream(graph, suffix_table, segment_table))
+        got_sa = [e.sa for e in emissions]
+        got_bwt = [e.bwt for e in emissions]
+        if got_sa != expected_sa or got_bwt != expected_bwt:
+            print("pfg2sa: stream disagrees with the oracle", file=stderr)
+            return 1
+        if not args.quiet:
+            print("verified against the brute-force oracle", file=stderr)
+    for batch in emission_batches(graph, suffix_table, segment_table, with_bwt=args.bwt):
+        stdout.write(_format_batch(batch))
+    return 0
+
+
 def pfg2sa_main(argv=None, stdin=None, stdout=None, stderr=None):
     """Stream the pangenome suffix array from a prefix-free-graph GFA."""
-    stdin = stdin or sys.stdin
-    stdout = stdout or sys.stdout
-    stderr = stderr or sys.stderr
     parser = argparse.ArgumentParser(prog="pfg2sa", description=pfg2sa_main.__doc__)
     parser.add_argument("input", nargs="?", help="GFA file (default: standard input)")
     parser.add_argument("--bwt", action="store_true", help="append the BWT character to each line")
@@ -152,40 +197,4 @@ def pfg2sa_main(argv=None, stdin=None, stdout=None, stderr=None):
         help="cross-check against the brute-force oracle (small inputs only)",
     )
     parser.add_argument("-q", "--quiet", action="store_true", help="suppress warnings")
-    args = parser.parse_args(argv)
-    try:
-        source, close = _open_input(args.input, stdin)
-        try:
-            doc = read_gfa(source)
-        finally:
-            if close:
-                source.close()
-        graph = graph_from_gfa(doc)
-        suffix_table = build_suffix_table(graph)
-        segment_table = build_segment_table(graph)
-        if args.verify:
-            pangenome = Pangenome(
-                sequences=[
-                    (name, reconstruct(graph, j))
-                    for j, (name, _) in enumerate(graph.paths)
-                ]
-            )
-            if pangenome.total_length > MAX_ORACLE_BYTES:
-                print("pfg2sa: --verify is limited to small inputs", file=stderr)
-                return 1
-            expected_sa = oracle_sa(pangenome, graph.k)
-            expected_bwt = oracle_bwt(pangenome, expected_sa)
-            emissions = list(stream(graph, suffix_table, segment_table))
-            got_sa = [e.sa for e in emissions]
-            got_bwt = [e.bwt for e in emissions]
-            if got_sa != expected_sa or got_bwt != expected_bwt:
-                print("pfg2sa: stream disagrees with the oracle", file=stderr)
-                return 1
-            if not args.quiet:
-                print("verified against the brute-force oracle", file=stderr)
-        for batch in emission_batches(graph, suffix_table, segment_table, with_bwt=args.bwt):
-            stdout.write(_format_batch(batch))
-        return 0
-    except (PfgError, OSError) as exc:
-        print(f"pfg2sa: {exc}", file=stderr)
-        return 1
+    return _run_tool("pfg2sa", _pfg2sa, parser.parse_args(argv), stdin, stdout, stderr)

@@ -8,7 +8,7 @@ from itertools import chain
 import numpy as np
 
 from .graph import SENTINEL, PrefixFreeGraph
-from .suffixes import build_join, suffix_array_ints
+from .suffixes import _prefix_doubling, build_join
 
 END = 0  # terminates the path join; smallest symbol
 SEP = 1  # delimits paths; below every segment id
@@ -33,7 +33,7 @@ class SegmentTable:
     lengths: np.ndarray  # int64 segment lengths, pads included
     offsets: np.ndarray  # int64, one more than the segment count
     start: np.ndarray  # int64 pangenome offset
-    rank: np.ndarray  # int64 right-context rank (ISA of the following join position)
+    rank: np.ndarray  # right-context rank (ISA of the following join position), int32 below 2**31 symbols
     prev: np.ndarray  # uint8 preceding pangenome byte, SENTINEL at sequence starts
 
 
@@ -65,9 +65,7 @@ def right_context_ranks(join: PathJoin) -> np.ndarray:
     The ranks are raw ISA values of the path-join suffix array; only their
     relative order matters.
     """
-    sa = suffix_array_ints(join.symbols)
-    isa = np.empty_like(sa)
-    isa[sa] = np.arange(len(sa))
+    isa = _prefix_doubling(join.symbols)[1]
     return isa[np.flatnonzero(join.symbols >= _ID_BASE) + 1]
 
 

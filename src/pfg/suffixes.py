@@ -21,7 +21,8 @@ class SegmentJoin:
 
 @dataclass
 class SuffixTable:
-    """Parallel int64 columns over the segment join, in sorted-suffix order."""
+    """Parallel columns over the segment join, in sorted-suffix order: int32,
+    or int64 for a join of 2**31 symbols or more."""
 
     sa: np.ndarray
     lcp: np.ndarray
@@ -45,65 +46,117 @@ def build_join(graph: PrefixFreeGraph) -> SegmentJoin:
     return SegmentJoin(text="".join(parts), boundaries=boundaries)
 
 
-def _groups(sorted_keys: np.ndarray, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's group's first position, and which rows share their group."""
-    head = np.ones(len(sorted_keys), dtype=bool)
-    head[1:] = sorted_keys[1:] != sorted_keys[:-1]
-    return np.maximum.accumulate(np.where(head, positions, 0)), ~(head & np.append(head[1:], True))
+def _index_dtype(n: int) -> type:
+    """int32 while every index the build forms fits, else int64.
 
-
-def _prefix_doubling(symbols) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Suffix array of an integer sequence, and the rank array of each round.
-
-    Prefix doubling that re-sorts, in each round, only the rows of groups
-    that still tie (Larsson and Sadakane).  A row's rank is the first sorted
-    position of its group, so ``ranks[t][i] == ranks[t][j]`` exactly when
-    suffixes ``i`` and ``j`` share their first ``2**t`` symbols.  The last
-    round kept still has a tie; the LCP never reaches ``2 ** len(ranks)``.
+    None exceeds n: a suffix position plus a length that the suffix shares
+    with another one is at most n.
     """
-    keys = np.asarray(symbols)
+    return np.int32 if n < 2**31 else np.int64
+
+
+def _packed_keys(symbols: np.ndarray) -> tuple[np.ndarray, int, int]:
+    """Each suffix's first ``width`` symbols as one uint64 key, ``bits`` per
+    symbol, the first symbol highest.
+
+    Symbols get dense codes from 1 in their order.  Code 0 stands past the
+    end, so a suffix sorts before every longer suffix it is a prefix of.
+    """
+    code_of = np.cumsum(np.bincount(symbols) > 0, dtype=np.uint64)
+    bits = int(code_of[-1]).bit_length()
+    width = 1 << ((63 // bits).bit_length() - 1)
+    keys = code_of[symbols]
+    n = len(keys)
+    # keys of s symbols become keys of 2s symbols
+    s = 1
+    while s < width:
+        keys <<= s * bits
+        keys[: max(n - s, 0)] |= keys[s:] >> (s * bits)
+        s *= 2
+    return keys, bits, width
+
+
+def _groups(head: np.ndarray, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's group's first position, and which rows share their group."""
+    starts = np.where(head, positions, 0)
+    np.maximum.accumulate(starts, out=starts)
+    return starts, ~(head & np.append(head[1:], True))
+
+
+def _prefix_doubling(symbols) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """Suffix array and inverse suffix array of an integer sequence, and the
+    groups of each level as bitmaps over the suffix array rows.
+
+    Level ``t``'s groups are the runs of rows whose suffixes share their first
+    ``2**t`` symbols; its bitmap (``np.packbits``) marks each group's first
+    row.  Groups are ranges of rows that later levels only reorder inside,
+    so every bitmap holds for the final suffix array.  No two adjacent rows
+    share a group of the level above the last, so the LCP stays below
+    ``2 ** len(levels)``.
+
+    One sort of the packed keys orders the suffixes by their first ``width``
+    symbols, and the highest bit in which adjacent sorted keys differ gives
+    the levels below ``width``.
+    Prefix doubling then re-sorts, in each round, only the rows of groups
+    that still tie (Larsson and Sadakane).  A row's rank is the first row of
+    its group, so once every group is one row the ranks are the ISA.
+    """
+    keys, bits, width = _packed_keys(np.asarray(symbols))
     n = keys.size
-    sa = np.argsort(keys, kind="stable")
-    rank = np.empty(n, dtype=np.min_scalar_type(n))
-    rank[sa], tie = _groups(keys[sa], np.arange(n))
-    tied = np.flatnonzero(tie)  # sorted positions of groups with more than one row
-    ranks = []
+    index = _index_dtype(n)
+    sa = np.argsort(keys).astype(index)
+    keys.sort()
+    # where adjacent sorted keys differ; row 0 starts a group at every level
+    diff = np.empty_like(keys)
+    diff[0] = np.iinfo(diff.dtype).max
+    np.bitwise_xor(keys[1:], keys[:-1], out=diff[1:])
+    del keys
+    levels = []
     h = 1
+    while h < width:
+        levels.append(np.packbits(diff >= 1 << ((width - h) * bits)))
+        h *= 2
+    head = diff != 0
+    del diff
+    # rank[n] stands past the end, below every rank
+    rank = np.empty(n + 1, dtype=index)
+    rank[n] = -1
+    rank[sa], tie = _groups(head, np.arange(n, dtype=index))
+    tied = np.flatnonzero(tie).astype(index)  # rows of groups with more than one row
     while tied.size:
-        ranks.append(rank.copy())
+        levels.append(np.packbits(head))
         rows = sa[tied]
-        after = rows + h
-        inside = after < n
-        key = rank[rows].astype(np.int64) * (n + 1)
-        key[inside] += rank[after[inside]].astype(np.int64) + 1
+        key = rank[rows].astype(np.int64)
+        key *= n + 1
+        # a tied suffix is at least h long, so rows + h <= n
+        key += rank[rows + h] + 1
         order = np.argsort(key)
-        sa[tied] = rows[order]
-        rank[sa[tied]], tie = _groups(key[order], tied)
+        sa[tied] = rows = rows[order]
+        key.sort()  # in place: key[order] would hold a second copy
+        group_head = np.empty(len(key), dtype=bool)
+        group_head[0] = True
+        np.not_equal(key[1:], key[:-1], out=group_head[1:])
+        head[tied] = group_head
+        rank[rows], tie = _groups(group_head, tied)
         tied = tied[tie]
         h *= 2
-    return sa, ranks
+    return sa, rank[:n], levels
 
 
-def _lcp_from_ranks(sa: np.ndarray, ranks: list[np.ndarray]) -> np.ndarray:
-    """LCP of adjacent suffix array rows by binary lifting over the ranks:
-    from the highest round down, a round of step ``h`` adds ``h`` where the
-    suffixes share their next ``h`` symbols too."""
+def _lcp_from_levels(sa: np.ndarray, isa: np.ndarray, levels: list[np.ndarray]) -> np.ndarray:
+    """LCP of adjacent suffix array rows by binary lifting over the levels:
+    from the highest level down, level ``t`` adds ``2**t`` where the
+    suffixes share their next ``2**t`` symbols too."""
     n = len(sa)
-    lcp = np.zeros(n, dtype=np.int64)
-    a, b = sa[1:], sa[:-1]
-    for t in reversed(range(len(ranks))):
-        rank = ranks[t]
-        i, j = a + lcp[1:], b + lcp[1:]
-        inside = (i < n) & (j < n)
-        same = inside & (rank[np.minimum(i, n - 1)] == rank[np.minimum(j, n - 1)])
-        lcp[1:] += same * (1 << t)
+    lcp = np.zeros(n, dtype=sa.dtype)
+    # group number of each position; the one past the end is in no group
+    group = np.zeros(n + 1, dtype=sa.dtype)
+    a, b, step = sa[1:], sa[:-1], lcp[1:]
+    for t in reversed(range(len(levels))):
+        group[:n] = np.cumsum(np.unpackbits(levels[t], count=n), dtype=sa.dtype)[isa]
+        np.add(step, 1 << t, out=step, where=group[a + step] == group[b + step])
     lcp[:1] = -1
     return lcp
-
-
-def suffix_array_ints(symbols) -> np.ndarray:
-    """Suffix array of an integer sequence."""
-    return _prefix_doubling(symbols)[0]
 
 
 def _symbols(text: str) -> np.ndarray:
@@ -113,12 +166,12 @@ def _symbols(text: str) -> np.ndarray:
 
 def suffix_array(text: str) -> np.ndarray:
     """Suffix array of ``text`` under the reserved-character ranking."""
-    return suffix_array_ints(_symbols(text))
+    return _prefix_doubling(_symbols(text))[0]
 
 
 def lcp_array(text: str, sa: np.ndarray) -> np.ndarray:
     """LCP of adjacent rows of ``sa``, the suffix array of ``text``; LCP[0] = -1."""
-    return _lcp_from_ranks(np.asarray(sa), _prefix_doubling(_symbols(text))[1])
+    return _lcp_from_levels(np.asarray(sa), *_prefix_doubling(_symbols(text))[1:])
 
 
 def annotate(join: SegmentJoin, sa: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -128,20 +181,23 @@ def annotate(join: SegmentJoin, sa: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     to its length; the final sentinel takes id = segment count, offset 0.
     """
     n = len(join.text)
+    index = _index_dtype(n)
     raw = np.frombuffer(join.text.encode("ascii"), dtype=np.uint8)
-    seg_id_text = np.zeros(n, dtype=np.int64)
+    seg_id_text = np.zeros(n, dtype=index)
     # a separator closes its own segment, so the next id starts after it
     np.cumsum(raw[:-1] == ord(SEPARATOR), out=seg_id_text[1:])
     # the sentinel's id is the segment count, and its offset is 0
-    boundaries = np.append(np.asarray(join.boundaries, dtype=np.int64), n - 1)
-    pos_text = np.arange(n, dtype=np.int64) - boundaries[seg_id_text]
+    boundaries = np.empty(len(join.boundaries) + 1, dtype=index)
+    boundaries[:-1] = join.boundaries
+    boundaries[-1] = n - 1
+    pos_text = np.arange(n, dtype=index) - boundaries[seg_id_text]
     sa = np.asarray(sa)
     return seg_id_text[sa], pos_text[sa]
 
 
 def build_suffix_table(graph: PrefixFreeGraph) -> SuffixTable:
     join = build_join(graph)
-    sa, ranks = _prefix_doubling(_symbols(join.text))
-    lcp = _lcp_from_ranks(sa, ranks)
+    sa, isa, levels = _prefix_doubling(_symbols(join.text))
+    lcp = _lcp_from_levels(sa, isa, levels)
     seg_id, pos = annotate(join, sa)
     return SuffixTable(sa=sa, lcp=lcp, seg_id=seg_id, pos=pos)

@@ -1,7 +1,11 @@
 import importlib
 import io
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +25,14 @@ from pfg.cli import fasta2pfg_main, gfa2pfg_main, pfg2sa_main
 FASTA = ">s1\nCACGTACT\n>s2\nCACACT\n>s3\nCACGACT\n"
 # the package exports the function ``stream`` under the module's name
 STREAM_MODULE = importlib.import_module("pfg.stream")
+SRC = Path(__file__).resolve().parent.parent / "src"
+MAINS = {"fasta2pfg": fasta2pfg_main, "gfa2pfg": gfa2pfg_main, "pfg2sa": pfg2sa_main}
+# a byte that UTF-8 never uses, in the sequence and in a line of its own
+NOT_UTF8 = {
+    "fasta2pfg": b">a\nAC\xffGT\n",
+    "gfa2pfg": b"H\tVN:Z:1.0\tTL:i:3\n\xff\xfe\n",
+    "pfg2sa": b"H\tVN:Z:1.0\tTL:i:3\n\xff\xfe\n",
+}
 
 
 @pytest.fixture
@@ -234,3 +246,59 @@ class TestPfg2Sa:
         status, _, err = run(pfg2sa_main, [], gfa)
         assert status == 1
         assert "TL" in err
+
+
+class ClosedPipe(io.StringIO):
+    """An output whose reader has gone away."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+class TestBoundary:
+    @pytest.mark.parametrize("tool", sorted(MAINS))
+    @pytest.mark.parametrize("via", ["file", "stdin"])
+    def test_non_utf8_input_fails_with_one_line(self, tool, via, tmp_path):
+        triggers = tmp_path / "tag.txt"
+        triggers.write_text("TAG\n")
+        argv = [] if tool == "pfg2sa" else ["-t", str(triggers)]
+        stdin = io.TextIOWrapper(io.BytesIO(NOT_UTF8[tool]), encoding="utf-8", errors="strict")
+        if via == "file":
+            path = tmp_path / "input"
+            path.write_bytes(NOT_UTF8[tool])
+            argv.append(str(path))
+            stdin = io.StringIO("")
+        stdout, stderr = io.StringIO(), io.StringIO()
+        status = MAINS[tool](argv, stdin=stdin, stdout=stdout, stderr=stderr)
+        assert (status, stdout.getvalue()) == (1, "")
+        err = stderr.getvalue()
+        assert err.startswith(f"{tool}: ") and err.count("\n") == 1
+        assert "can't decode byte 0xff" in err
+
+    @pytest.mark.parametrize("tool", sorted(MAINS))
+    def test_closed_output_pipe_exits_quietly(self, tool, trigger_file, running_gfa):
+        argv = [] if tool == "pfg2sa" else ["-t", trigger_file]
+        text = FASTA if tool == "fasta2pfg" else running_gfa
+        stderr = io.StringIO()
+        status = MAINS[tool](argv, stdin=io.StringIO(text), stdout=ClosedPipe(), stderr=stderr)
+        assert (status, stderr.getvalue()) == (141, "")
+
+    def test_pipe_into_head(self, wide_gfa, wide_lines, tmp_path):
+        # about 240 kB of output, more than a pipe holds, so writes go on
+        # after head has exited
+        gfa = tmp_path / "wide.gfa"
+        gfa.write_text(wide_gfa)
+        code = "import sys; from pfg.cli import pfg2sa_main as main; sys.exit(main())"
+        with open(tmp_path / "stderr", "wb") as err:
+            tool = subprocess.Popen(
+                [sys.executable, "-c", code, str(gfa)],
+                stdout=subprocess.PIPE,
+                stderr=err,
+                env=dict(os.environ, PYTHONPATH=str(SRC)),
+            )
+            head = subprocess.Popen(["head", "-1"], stdin=tool.stdout, stdout=subprocess.PIPE)
+            tool.stdout.close()
+            first, _ = head.communicate(timeout=60)
+            status = tool.wait(timeout=60)
+        assert first.decode() == wide_lines[False].split("\n")[0] + "\n"
+        assert (status, (tmp_path / "stderr").read_bytes()) == (141, b"")

@@ -50,6 +50,19 @@ class TestNormalize:
         assert [p for _, p in again.paths] == [p for _, p in g.paths]
 
 
+def validate_peak(sequence):
+    """tracemalloc peak of validate on one trigger-free sequence, in bytes."""
+    g = build_graph(Pangenome([("a", sequence)]), TriggerSet.from_words(["TAG"]))
+    tracemalloc.start()
+    try:
+        report = validate(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok
+    return peak
+
+
 class TestValidate:
     def test_running_example_passes(self, graph):
         report = validate(graph)
@@ -88,15 +101,11 @@ class TestValidate:
 
     def test_long_trigger_free_sequence_memory(self):
         # one segment of 100 kb: a sort of its suffixes as strings needs GBs
-        g = build_graph(Pangenome([("a", "ACG" * 33334)]), TriggerSet.from_words(["TAG"]))
-        tracemalloc.start()
-        try:
-            report = validate(g)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert report.ok
-        assert peak < 32 << 20
+        assert validate_peak("ACG" * 33334) < 32 << 20
+
+    def test_periodic_megabase_memory_does_not_grow_with_rounds(self):
+        # about 20 doubling rounds; a rank array kept per round took 139 MB
+        assert validate_peak("ACG" * 333334) < 96 << 20
 
 
 class TestReconstruct:

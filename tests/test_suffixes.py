@@ -1,10 +1,20 @@
 import random
+from functools import cmp_to_key
 
+import numpy as np
 import pytest
 
-from pfg import build_join, build_suffix_table, normalize
+from pfg import build_join, build_suffix_table, normalize, suffixes
 from pfg.graph import char_rank
-from pfg.suffixes import _prefix_doubling, _symbols, annotate, lcp_array, suffix_array
+from pfg.suffixes import (
+    _lcp_from_levels,
+    _packed_keys,
+    _prefix_doubling,
+    _symbols,
+    annotate,
+    lcp_array,
+    suffix_array,
+)
 
 from conftest import SUFFIX_TABLE_ROWS
 
@@ -12,6 +22,20 @@ from conftest import SUFFIX_TABLE_ROWS
 def naive_suffix_array(text):
     mapped = [tuple(char_rank(c) for c in text[i:]) for i in range(len(text))]
     return sorted(range(len(text)), key=lambda i: mapped[i])
+
+
+def naive_int_suffix_array(symbols):
+    """Sorted suffixes, compared one symbol at a time; past the end is smallest."""
+    n = len(symbols)
+
+    def compare(i, j):
+        while i < n and j < n and symbols[i] == symbols[j]:
+            i, j = i + 1, j + 1
+        if i == n or j == n:
+            return (i < n) - (j < n)
+        return (symbols[i] > symbols[j]) - (symbols[i] < symbols[j])
+
+    return sorted(range(n), key=cmp_to_key(compare))
 
 
 def naive_lcp(text, sa):
@@ -74,8 +98,8 @@ class TestLcpArray:
 
     def test_periodic_text_lifts_more_than_ten_rounds(self):
         text = "ACG" * 370 + "$"
-        sa, ranks = _prefix_doubling(_symbols(text))
-        assert len(ranks) > 10
+        sa, _, levels = _prefix_doubling(_symbols(text))
+        assert len(levels) > 10
         assert lcp_array(text, sa).tolist() == naive_lcp(text, sa.tolist())
 
     @pytest.mark.parametrize("seed", range(10))
@@ -84,6 +108,39 @@ class TestLcpArray:
         text = "".join(rng.choices("ACG", k=rng.randint(2, 300)))
         sa = suffix_array(text)
         assert lcp_array(text, sa).tolist() == naive_lcp(text, sa.tolist())
+
+
+class TestPackedFirstSort:
+    """The first sort packs ``width`` symbols per key: 16 for the join's
+    alphabet, fewer for larger alphabets; code 0 stands past the end."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_texts_without_sentinel(self, seed):
+        rng = random.Random(200 + seed)
+        text = "".join(rng.choices(rng.choice(["A", "AC", "ACGT.#"]), k=rng.randint(1, 120)))
+        sa = suffix_array(text)
+        assert sa.tolist() == naive_suffix_array(text)
+        assert lcp_array(text, sa).tolist() == naive_lcp(text, sa.tolist())
+
+    @pytest.mark.parametrize("length", [1, 2, 3, 7, 15, 16, 17])
+    def test_texts_around_the_packing_width(self, length):
+        for text in ("A" * length, ("ACG" * length)[:length], ("CA" * length)[: length - 1] + "$"):
+            sa = suffix_array(text)
+            assert sa.tolist() == naive_suffix_array(text)
+            assert lcp_array(text, sa).tolist() == naive_lcp(text, sa.tolist())
+
+    @pytest.mark.parametrize("distinct, width", [(1, 32), (3, 16), (8, 8), (300, 4), (40_000, 2)])
+    def test_sparse_integer_alphabets(self, distinct, width):
+        rng = random.Random(distinct)
+        values = rng.sample(range(100_001), distinct)
+        symbols = values + rng.choices(values, k=400)
+        symbols += symbols[:60]  # a repeat that needs doubling rounds
+        assert _packed_keys(np.array(symbols))[2] == width
+        sa, isa, levels = _prefix_doubling(np.array(symbols))
+        expected = naive_int_suffix_array(symbols)
+        assert sa.tolist() == expected
+        assert isa[sa].tolist() == list(range(len(symbols)))
+        assert _lcp_from_levels(sa, isa, levels).tolist() == naive_lcp(symbols, expected)
 
 
 class TestAnnotate:
@@ -106,6 +163,18 @@ class TestSuffixTable:
             assert table.lcp[i] == lcp
             assert table.seg_id[i] == seg_id
             assert table.pos[i] == pos
+
+    def test_int64_columns_past_2_to_the_31(self, graph, monkeypatch):
+        assert suffixes._index_dtype(2**31 - 1) is np.int32
+        assert suffixes._index_dtype(2**31) is np.int64
+        # a join that long is too large to build here, so force the wide type
+        monkeypatch.setattr(suffixes, "_index_dtype", lambda n: np.int64)
+        table = build_suffix_table(graph)
+        columns = (table.sa, table.lcp, table.seg_id, table.pos)
+        assert {column.dtype for column in columns} == {np.dtype(np.int64)}
+        assert [list(row) for row in zip(*(c.tolist() for c in columns))] == [
+            list(row[1:]) for row in SUFFIX_TABLE_ROWS
+        ]
 
     def test_rows_point_at_join_characters(self, graph):
         join = build_join(graph)
