@@ -1,7 +1,7 @@
 """Prefix-free graphs: compressed pangenome representation with streaming
 suffix-array iteration."""
 
-from .automaton import MatchAutomaton, TriggerSet, compile_triggers
+from .automaton import TriggerSet, compile_triggers
 from .errors import ConfigError, FormatError, PfgError, StructureError
 from .fasta import read_fasta, read_triggers
 from .gfa import GfaDocument, expand_gfa_paths, graph_from_gfa, read_gfa, write_gfa
@@ -26,7 +26,6 @@ __all__ = [
     "Emission",
     "FormatError",
     "GfaDocument",
-    "MatchAutomaton",
     "PAD",
     "Pangenome",
     "PathJoin",

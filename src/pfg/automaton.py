@@ -1,12 +1,29 @@
-"""Multi-pattern matching of uniform-length trigger words (Aho-Corasick)."""
+"""Finding the occurrences of uniform-length trigger words.
+
+All triggers share one length k, so a trigger ends at position i exactly
+when the k-window ending there is a trigger word.  The scan hashes every
+window with numpy and looks the hashes up among the triggers' hashes; no
+automaton is needed.
+"""
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import ConfigError
 from .graph import invalid_letter
+
+# Windows hashed per numpy pass.  The scan's extra memory is a few
+# arrays of this many entries, whatever the sequence length.
+SCAN_CHUNK = 1 << 16
+
+# Windows of up to 8 one-byte letters pack exactly into a uint64 (base
+# 256).  Longer windows take an odd multiplier, wrapping around 2**64, and
+# each hit is confirmed against the words.
+_PACKED_LETTERS = 8
+_HASH_BASE = 0x9E3779B97F4A7C15
 
 
 @dataclass(frozen=True)
@@ -30,99 +47,46 @@ class TriggerSet:
         return cls(words=tuple(cleaned), k=lengths.pop())
 
 
-class MatchAutomaton:
-    """Classic goto/failure/output automaton over a set of patterns.
+class TriggerScanner:
+    """Finds where trigger words end in a sequence of input letters."""
 
-    ``goto`` is a per-state transition dict, ``fail`` the failure links and
-    ``output`` the set of patterns ending at each state.  After construction
-    ``_delta`` holds the failure-resolved transition function, so scanning is
-    a single dict lookup per character.
-    """
+    def __init__(self, triggers: TriggerSet):
+        self.k = triggers.k
+        self.words = frozenset(triggers.words)
+        self.exact = self.k <= _PACKED_LETTERS
+        self.base = np.uint64(256 if self.exact else _HASH_BASE)
+        self.codes = np.array([self._hashes(w.encode("ascii"))[0] for w in triggers.words])
 
-    def __init__(self, words):
-        self.goto: list[dict[str, int]] = [{}]
-        self.fail: list[int] = [0]
-        self.output: list[set[str]] = [set()]
-        for word in words:
-            state = 0
-            for c in word:
-                nxt = self.goto[state].get(c)
-                if nxt is None:
-                    nxt = len(self.goto)
-                    self.goto[state][c] = nxt
-                    self.goto.append({})
-                    self.fail.append(0)
-                    self.output.append(set())
-                state = nxt
-            self.output[state].add(word)
-        self._link_failures()
-        self._resolve_delta()
+    def _hashes(self, letters: bytes) -> np.ndarray:
+        """Hash of every k-window of ``letters``, indexed by window start."""
+        k = self.k
+        data = np.frombuffer(letters, dtype=np.uint8)
+        hashes = np.zeros(len(data) - k + 1, dtype=np.uint64)
+        for j in range(k):
+            hashes *= self.base
+            hashes += data[j : j + len(hashes)]
+        return hashes
 
-    def _link_failures(self):
-        queue = deque()
-        for state in self.goto[0].values():
-            self.fail[state] = 0
-            queue.append(state)
-        while queue:
-            state = queue.popleft()
-            for c, nxt in self.goto[state].items():
-                f = self.fail[state]
-                while f and c not in self.goto[f]:
-                    f = self.fail[f]
-                self.fail[nxt] = self.goto[f].get(c, 0)
-                self.output[nxt] |= self.output[self.fail[nxt]]
-                queue.append(nxt)
+    def match_ends(self, seq: str) -> np.ndarray:
+        """End positions of all trigger occurrences in ``seq``, ascending.
 
-    def _resolve_delta(self):
-        alphabet = {c for trans in self.goto for c in trans}
-        self._delta = []
-        order = deque([0])
-        seen = {0}
-        # BFS so a state's failure target is resolved before the state itself
-        delta = [dict() for _ in self.goto]
-        while order:
-            state = order.popleft()
-            for c in alphabet:
-                if c in self.goto[state]:
-                    delta[state][c] = self.goto[state][c]
-                elif state:
-                    delta[state][c] = delta[self.fail[state]].get(c, 0)
-            for nxt in self.goto[state].values():
-                if nxt not in seen:
-                    seen.add(nxt)
-                    order.append(nxt)
-        self._delta = delta
-        self._accepting = {s for s, out in enumerate(self.output) if out}
-
-    @property
-    def state_count(self) -> int:
-        return len(self.goto)
-
-    def find_matches(self, text: str):
-        """Yield (end_position, word) for every occurrence, in end order."""
-        delta = self._delta
-        accepting = self._accepting
-        state = 0
-        for i, c in enumerate(text):
-            state = delta[state].get(c, 0)
-            if state in accepting:
-                for word in sorted(self.output[state]):
-                    yield i, word
-
-    def match_ends(self, text: str) -> list[int]:
-        """End positions of all matches; with uniform-length patterns at most
-        one match ends per position."""
-        delta = self._delta
-        accepting = self._accepting
-        state = 0
-        ends = []
-        append = ends.append
-        for i, c in enumerate(text):
-            state = delta[state].get(c, 0)
-            if state in accepting:
-                append(i)
-        return ends
+        Triggers share one length, so at most one ends at each position.
+        """
+        k = self.k
+        found = []
+        # chunks of window starts; each reads k - 1 letters past its end
+        for lo in range(0, len(seq) - k + 1, SCAN_CHUNK):
+            piece = seq[lo : lo + SCAN_CHUNK + k - 1]
+            # "sort" compares against each code in turn while there are few;
+            # numpy's default builds a table over the codes' range per call
+            hits = np.isin(self._hashes(piece.encode("ascii")), self.codes, kind="sort")
+            ends = np.flatnonzero(hits)
+            ends += lo + k - 1
+            if not self.exact:
+                ends = ends[[seq[e - k + 1 : e + 1] in self.words for e in ends.tolist()]]
+            found.append(ends)
+        return np.concatenate(found) if found else np.zeros(0, dtype=np.intp)
 
 
-def compile_triggers(triggers: TriggerSet) -> MatchAutomaton:
-    return MatchAutomaton(triggers.words)
+def compile_triggers(triggers: TriggerSet) -> TriggerScanner:
+    return TriggerScanner(triggers)

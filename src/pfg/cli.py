@@ -9,6 +9,7 @@ reader of standard output went away.
 from __future__ import annotations
 
 import argparse
+import io
 import os
 import sys
 
@@ -62,7 +63,6 @@ def _run_tool(tool, body, args, stdin, stdout, stderr):
     reader that closed the output pipe ends the tool quietly with 141, the
     status of a filter killed by SIGPIPE.
     """
-    stdin = stdin or sys.stdin
     stdout = stdout or sys.stdout
     stderr = stderr or sys.stderr
     try:
@@ -90,11 +90,15 @@ def _discard_output(stdout):
 
 
 def _read(path, stdin, reader):
-    """``reader`` applied to the file at ``path``, or to stdin without one."""
-    if path is None:
-        return reader(stdin)
-    with open(path, encoding="utf-8") as source:
-        return reader(source)
+    """``reader`` applied to the file at ``path``, or to stdin without one.
+
+    Both are decoded as strict UTF-8 whatever the locale, so a byte that is
+    not UTF-8 fails the same way on either.
+    """
+    if path is not None:
+        with open(path, encoding="utf-8") as source:
+            return reader(source)
+    return reader(stdin or io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8"))
 
 
 def _fasta2pfg(args, stdin, stdout, stderr):

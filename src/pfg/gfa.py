@@ -11,8 +11,11 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import FormatError, StructureError
 from .graph import PAD, Pangenome, PrefixFreeGraph, Segment, invalid_letter
+from .occurrences import _path_steps
 from .validation import _structural_report
 
 
@@ -41,19 +44,23 @@ def write_gfa(graph: PrefixFreeGraph, sink) -> None:
     sink.write(f"H\tVN:Z:1.0\tTL:i:{k}\n")
     for seg in graph.segments:
         sink.write(f"S\t{seg.id}\t{seg.content}\n")
-    pairs = sorted(
-        {
-            (path[t], path[t + 1])
-            for _, path in graph.paths
-            for t in range(len(path) - 1)
-        }
-    )
-    for a, b in pairs:
+    # Key a * n + b for each step pair (a, b), sorted and deduplicated by
+    # hand (np.unique imports numpy.ma on its first call).  A path's last
+    # step pairs with nothing; its key -1 sorts first and goes with the
+    # repeats.
+    n = len(graph.segments)
+    steps, counts = _path_steps(graph)
+    keys = steps * n
+    keys[:-1] += steps[1:]
+    keys[np.cumsum(counts) - 1] = -1
+    del steps
+    keys.sort()
+    pairs = keys[1:][keys[1:] != keys[:-1]]
+    for a, b in zip((pairs // n).tolist(), (pairs % n).tolist()):
         sink.write(f"L\t{a}\t+\t{b}\t+\t{k}M\n")
     for name, path in graph.paths:
-        steps = ",".join(f"{sid}+" for sid in path)
-        overlaps = ",".join(f"{k}M" for _ in range(len(path) - 1)) or "*"
-        sink.write(f"P\t{name}\t{steps}\t{overlaps}\n")
+        overlaps = ",".join([f"{k}M"] * (len(path) - 1)) or "*"
+        sink.write(f"P\t{name}\t{'+,'.join(map(str, path))}+\t{overlaps}\n")
 
 
 def _parse_tags(fields, lineno):

@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from .automaton import MatchAutomaton, TriggerSet, compile_triggers
+from .automaton import TriggerScanner, TriggerSet, compile_triggers
 from .graph import PAD, Pangenome, PrefixFreeGraph, normalize
 
 
-def partition_sequence(seq: str, automaton: MatchAutomaton, k: int) -> list[str]:
+def partition_sequence(seq: str, scanner: TriggerScanner, k: int) -> list[str]:
     """Split ``seq`` into overlapping segments.
 
     Every trigger occurrence closes a segment running from the previous
@@ -15,33 +15,23 @@ def partition_sequence(seq: str, automaton: MatchAutomaton, k: int) -> list[str]
     pad characters.  Overlapping occurrences each close a segment, except
     an occurrence at the very start, which would close one of length k.
     """
-    segments = []
-    boundary = 0
-    for end in automaton.match_ends(seq):
-        if end == k - 1:
-            continue
-        segments.append(seq[boundary : end + 1])
-        boundary = end - k + 1
-    segments.append(seq[boundary:] + PAD * k)
+    ends = scanner.match_ends(seq)
+    ends = ends[ends != k - 1]
+    starts = [0, *(ends - (k - 1)).tolist()]
+    segments = [seq[a:b] for a, b in zip(starts, (ends + 1).tolist())]
+    segments.append(seq[starts[-1] :] + PAD * k)
     return segments
 
 
 def build_graph(pangenome: Pangenome, triggers: TriggerSet) -> PrefixFreeGraph:
     """Partition every sequence and assemble the normalized graph."""
-    automaton = compile_triggers(triggers)
+    scanner = compile_triggers(triggers)
     k = triggers.k
     discovery: dict[str, int] = {}
     paths = []
     names = []
     for name, data in pangenome.sequences:
-        path = []
-        for content in partition_sequence(data, automaton, k):
-            sid = discovery.get(content)
-            if sid is None:
-                sid = len(discovery)
-                discovery[content] = sid
-            path.append(sid)
-        paths.append(path)
+        paths.append([discovery.setdefault(s, len(discovery)) for s in partition_sequence(data, scanner, k)])
         names.append(name)
     segments = {sid: content for content, sid in discovery.items()}
     return normalize(segments, paths, k, names=names)

@@ -59,10 +59,12 @@ def mark_blocks(suffix_table: SuffixTable, lengths: np.ndarray, k: int) -> tuple
     seg_id = suffix_table.seg_id
     pos = suffix_table.pos
     # the sentinel row's id is the segment count; give it length 0
-    suffix_len = np.append(lengths, 0)[np.minimum(seg_id, len(lengths))] - pos
+    suffix_len = np.append(lengths, 0).astype(pos.dtype)[np.minimum(seg_id, len(lengths))]
+    suffix_len -= pos
     kept = (seg_id < len(lengths)) & (suffix_len > k)
     joins = np.zeros(len(kept), dtype=bool)
-    joins[1:] = kept[:-1] & (suffix_table.lcp[1:] >= suffix_len[:-1])
+    np.greater_equal(suffix_table.lcp[1:], suffix_len[:-1], out=joins[1:])
+    joins[1:] &= kept[:-1]
     bad = np.flatnonzero(joins[1:] & (suffix_len[1:] != suffix_len[:-1]))
     if bad.size:
         i = int(bad[0]) + 1
@@ -71,7 +73,10 @@ def mark_blocks(suffix_table: SuffixTable, lengths: np.ndarray, k: int) -> tuple
             f"at offset {pos[i - 1]} is a proper prefix of the suffix of segment "
             f"{seg_id[i]} at offset {pos[i]}"
         )
-    return kept, kept & ~joins
+    # a kept row that does not join the previous row's block starts one
+    np.logical_not(joins, out=joins)
+    joins &= kept
+    return kept, joins
 
 
 def emission_batches(
@@ -83,16 +88,21 @@ def emission_batches(
     """Yield the emissions in order, in batches cut at block starts."""
     k = graph.k
     kept, block_start = mark_blocks(suffix_table, segment_table.lengths, k)
-    rows = np.flatnonzero(kept)
+    rows = np.flatnonzero(kept).astype(suffix_table.pos.dtype)
+    del kept
+    block_start = block_start[rows]  # now indexed by kept row
     counts = np.diff(segment_table.offsets)
     row_counts = counts[suffix_table.seg_id[rows]]
     total = int(row_counts.sum())
     expected = int(((segment_table.lengths - k) * counts).sum())
     if total != expected:
         raise StructureError(f"the tables give {total} emissions, expected {expected}")
-    row_begin = np.cumsum(row_counts) - row_counts  # first emission of each kept row
+    # first emission of each kept row; int64, as emission indices can pass 2**31
+    row_begin = np.cumsum(row_counts, dtype=np.int64)
+    row_begin -= row_counts
+    del row_counts
     # kept-row index and first emission of every block, then the ends
-    first_rows = np.flatnonzero(block_start[rows])
+    first_rows = np.flatnonzero(block_start)
     bounds = np.append(row_begin[first_rows], total)
     first_rows = np.append(first_rows, len(rows))
     text = np.frombuffer(build_join(graph).text.encode("ascii"), dtype=np.uint8) if with_bwt else None
@@ -108,7 +118,7 @@ def emission_batches(
         # occurrence index = its row's first occurrence + its place in the row
         shift = segment_table.offsets[seg_ids] - row_begin[first_rows[b] : first_rows[c]]
         occ = np.arange(e0, e1) + np.repeat(shift, n_occ)
-        block = np.cumsum(block_start[batch_rows])[row_of]
+        block = np.cumsum(block_start[first_rows[b] : first_rows[c]])[row_of]
         order = np.lexsort((segment_table.rank[occ], block))
         row_of = batch_rows[row_of[order]]
         occ = occ[order]

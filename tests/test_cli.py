@@ -276,6 +276,26 @@ class TestBoundary:
         assert "can't decode byte 0xff" in err
 
     @pytest.mark.parametrize("tool", sorted(MAINS))
+    def test_non_utf8_stdin_fails_under_c_locale(self, tool, tmp_path):
+        # the C locale's standard input decodes bad bytes to surrogates
+        # instead of failing, unless the tool reads it as strict UTF-8
+        triggers = tmp_path / "tag.txt"
+        triggers.write_text("TAG\n")
+        argv = [] if tool == "pfg2sa" else ["-t", str(triggers)]
+        code = f"import sys; from pfg.cli import {tool}_main as main; sys.exit(main())"
+        result = subprocess.run(
+            [sys.executable, "-c", code, *argv],
+            input=NOT_UTF8[tool],
+            capture_output=True,
+            env=dict(os.environ, PYTHONPATH=str(SRC), LC_ALL="C"),
+            timeout=60,
+        )
+        assert (result.returncode, result.stdout) == (1, b"")
+        err = result.stderr.decode()
+        assert err.startswith(f"{tool}: ") and err.count("\n") == 1
+        assert "can't decode byte 0xff" in err
+
+    @pytest.mark.parametrize("tool", sorted(MAINS))
     def test_closed_output_pipe_exits_quietly(self, tool, trigger_file, running_gfa):
         argv = [] if tool == "pfg2sa" else ["-t", trigger_file]
         text = FASTA if tool == "fasta2pfg" else running_gfa

@@ -43,6 +43,18 @@ class TestWriteGfa:
         assert l_lines
         assert all(l.split("\t")[5] == "2M" for l in l_lines)
 
+    def test_links_are_the_distinct_step_pairs_in_order(self, graph):
+        buf = io.StringIO()
+        write_gfa(graph, buf)
+        pairs = [
+            (int(l.split("\t")[1]), int(l.split("\t")[3]))
+            for l in buf.getvalue().splitlines()
+            if l.startswith("L")
+        ]
+        # paths 3 1 5 2, 3 0 2 and 3 1 4 2: (3, 1) twice, and no pair
+        # across the end of one path and the start of the next, like (2, 3)
+        assert pairs == [(0, 2), (1, 4), (1, 5), (3, 0), (3, 1), (4, 2), (5, 2)]
+
     def test_deterministic(self, graph):
         a, b = io.StringIO(), io.StringIO()
         write_gfa(graph, a)
