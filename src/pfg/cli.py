@@ -158,7 +158,7 @@ def _format_batch(batch: Batch) -> str:
     if batch.bwt is not None:
         lines[end] = batch.bwt
     lines[-1] = _NEWLINE
-    return lines.T.tobytes().replace(b"\0", b"").decode("ascii")
+    return lines.T.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _pfg2sa(args, stdin, stdout, stderr):

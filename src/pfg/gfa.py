@@ -23,7 +23,6 @@ from .validation import _structural_report
 class GfaDocument:
     header_tags: dict[str, str] = field(default_factory=dict)
     segments: dict[str, str] = field(default_factory=dict)  # name -> sequence
-    links: list[tuple[str, str, int]] = field(default_factory=list)
     # (name, segment names, per-step overlaps or None for "*")
     paths: list[tuple[str, list[str], list[int] | None]] = field(default_factory=list)
 
@@ -74,8 +73,11 @@ def _parse_tags(fields, lineno):
 
 
 def read_gfa(stream) -> GfaDocument:
-    """Tolerant GFA parse: unknown record types are ignored."""
+    """Tolerant GFA parse: unknown record types are ignored, and records may
+    come in any order.  L-records are checked but not kept."""
     doc = GfaDocument()
+    p_records = []  # (line number, fields) of each P-record
+    overlap_of = {}  # each distinct overlap token, parsed once
     for lineno, line in enumerate(stream, start=1):
         line = line.rstrip("\r\n")
         if not line:
@@ -87,6 +89,8 @@ def read_gfa(stream) -> GfaDocument:
         elif kind == "S":
             if len(fields) < 3:
                 raise FormatError("S-record needs a name and a sequence", line=lineno)
+            if fields[1] in doc.segments:
+                raise FormatError(f"segment name {fields[1]!r} is repeated", line=lineno)
             bad = invalid_letter(fields[2].replace(PAD, ""))
             if bad is not None:
                 raise FormatError(f"reserved or invalid character {bad!r} in S-record", line=lineno)
@@ -96,31 +100,59 @@ def read_gfa(stream) -> GfaDocument:
                 raise FormatError("L-record needs five fields", line=lineno)
             if fields[2] != "+" or fields[4] != "+":
                 raise FormatError("reverse orientation is unsupported", line=lineno)
-            doc.links.append((fields[1], fields[3], _parse_overlap(fields[5], lineno)))
+            if fields[5] not in overlap_of:
+                overlap_of[fields[5]] = _parse_overlap(fields[5], lineno)
         elif kind == "P":
             if len(fields) < 4:
                 raise FormatError("P-record needs a name, steps and overlaps", line=lineno)
-            name = fields[1]
-            steps = []
-            for step in fields[2].split(","):
-                if step.endswith("-"):
-                    raise FormatError(
-                        f"reverse-orientation step {step!r} is unsupported", line=lineno
-                    )
-                if not step.endswith("+"):
-                    raise FormatError(f"malformed step {step!r}", line=lineno)
-                sid = step[:-1]
-                if sid not in doc.segments:
-                    raise FormatError(f"path step references unknown segment {sid!r}", line=lineno)
-                steps.append(sid)
-            if fields[3] == "*":
-                overlaps = None
-            else:
-                overlaps = [_parse_overlap(o, lineno) for o in fields[3].split(",")]
-                if len(overlaps) != len(steps) - 1:
-                    raise FormatError("overlap count does not match step count", line=lineno)
-            doc.paths.append((name, steps, overlaps))
+            p_records.append((lineno, fields))
+    # The path tuples are made after every step list.  Made in between, the
+    # ones that Python's tuple free list keeps once the document is freed
+    # would pin the pages of the step names (16 MB at 256 x 30 kb).
+    names, step_lists, overlap_lists = [], [], []
+    for lineno, fields in p_records:
+        steps = _step_names(fields[2], doc.segments, lineno)
+        if fields[3] == "*":
+            overlaps = None
+        else:
+            tokens = fields[3].split(",")
+            for token in set(tokens).difference(overlap_of):
+                overlap_of[token] = _parse_overlap(token, lineno)
+            overlaps = list(map(overlap_of.__getitem__, tokens))
+            if len(overlaps) != len(steps) - 1:
+                raise FormatError("overlap count does not match step count", line=lineno)
+        names.append(fields[1])
+        step_lists.append(steps)
+        overlap_lists.append(overlaps)
+    doc.paths = list(zip(names, step_lists, overlap_lists))
     return doc
+
+
+def _step_names(field: str, segments: dict[str, str], lineno: int) -> list[str]:
+    """The segment names of a P-record's step field ``name+,name+,...``.
+
+    One split and one membership pass take a well-formed field.  A step
+    name holding a comma would split apart, so the comma count must match
+    too.  Any other field goes through the steps one by one, which words
+    the error of the first bad step.
+    """
+    steps = field[:-1].split("+,")
+    if (
+        field.endswith("+")
+        and len(steps) == field.count(",") + 1
+        and all(map(segments.__contains__, steps))
+    ):
+        return steps
+    steps = []
+    for step in field.split(","):
+        if step.endswith("-"):
+            raise FormatError(f"reverse-orientation step {step!r} is unsupported", line=lineno)
+        if not step.endswith("+"):
+            raise FormatError(f"malformed step {step!r}", line=lineno)
+        if step[:-1] not in segments:
+            raise FormatError(f"path step references unknown segment {step[:-1]!r}", line=lineno)
+        steps.append(step[:-1])
+    return steps
 
 
 def _parse_overlap(token: str, lineno: int) -> int:
@@ -170,7 +202,7 @@ def graph_from_gfa(doc: GfaDocument) -> PrefixFreeGraph:
     if [int(s) for s in ids] != list(range(len(ids))):
         raise FormatError("segment ids must be consecutive from 0")
     segments = [Segment(int(s), doc.segments[s]) for s in ids]
-    paths = [(name, [int(s) for s in steps]) for name, steps, _ in doc.paths]
+    paths = [(name, list(map(int, steps))) for name, steps, _ in doc.paths]
     graph = PrefixFreeGraph(k=k, segments=segments, paths=paths)
     report = _structural_report(graph)
     if not report.ok:

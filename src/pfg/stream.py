@@ -93,19 +93,21 @@ def emission_batches(
     block_start = block_start[rows]  # now indexed by kept row
     counts = np.diff(segment_table.offsets)
     row_counts = counts[suffix_table.seg_id[rows]]
-    total = int(row_counts.sum())
+    # first emission of each kept row, then the total; int64, as emission
+    # indices can pass 2**31
+    row_begin = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum(row_counts, out=row_begin[1:])
+    del row_counts
+    total = int(row_begin[-1])
     expected = int(((segment_table.lengths - k) * counts).sum())
     if total != expected:
         raise StructureError(f"the tables give {total} emissions, expected {expected}")
-    # first emission of each kept row; int64, as emission indices can pass 2**31
-    row_begin = np.cumsum(row_counts, dtype=np.int64)
-    row_begin -= row_counts
-    del row_counts
     # kept-row index and first emission of every block, then the ends
-    first_rows = np.flatnonzero(block_start)
-    bounds = np.append(row_begin[first_rows], total)
-    first_rows = np.append(first_rows, len(rows))
+    first_rows = np.flatnonzero(np.append(block_start, True))
+    bounds = row_begin[first_rows]
     text = np.frombuffer(build_join(graph).text.encode("ascii"), dtype=np.uint8) if with_bwt else None
+    # every rank is below this, so block * rank_bound + rank orders by both
+    rank_bound = int(segment_table.rank.max()) + 1 if len(segment_table.rank) else 1
     b = 0
     while b < len(first_rows) - 1:
         e0 = int(bounds[b])
@@ -118,8 +120,12 @@ def emission_batches(
         # occurrence index = its row's first occurrence + its place in the row
         shift = segment_table.offsets[seg_ids] - row_begin[first_rows[b] : first_rows[c]]
         occ = np.arange(e0, e1) + np.repeat(shift, n_occ)
-        block = np.cumsum(block_start[first_rows[b] : first_rows[c]])[row_of]
-        order = np.lexsort((segment_table.rank[occ], block))
+        key = np.cumsum(block_start[first_rows[b] : first_rows[c]])[row_of]
+        key *= rank_bound
+        key += segment_table.rank[occ]
+        # rows come in block order and each row's occurrences by rank, so
+        # the key is a few ascending runs, which a stable sort merges
+        order = np.argsort(key, kind="stable")
         row_of = batch_rows[row_of[order]]
         occ = occ[order]
         pos = suffix_table.pos[row_of]

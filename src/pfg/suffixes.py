@@ -83,9 +83,15 @@ def _groups(head: np.ndarray, positions: np.ndarray) -> tuple[np.ndarray, np.nda
     return starts, ~(head & np.append(head[1:], True))
 
 
-def _prefix_doubling(symbols) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-    """Suffix array and inverse suffix array of an integer sequence, and the
-    groups of each level as bitmaps over the suffix array rows.
+def _prefix_doubling(symbols) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[np.ndarray]]:
+    """Suffix array and inverse suffix array of an integer sequence, the
+    leading symbols that each row shares with the row above as far as the
+    first sort sees, and the groups of each level as bitmaps over the
+    suffix array rows.
+
+    The inverse suffix array has one more entry, -1 for the position past
+    the end.  The shared counts are ``uint8`` and stop at ``width``, which
+    the rows whose packed keys tie reach, and only they.
 
     Level ``t``'s groups are the runs of rows whose suffixes share their first
     ``2**t`` symbols; its bitmap (``np.packbits``) marks each group's first
@@ -96,7 +102,7 @@ def _prefix_doubling(symbols) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]
 
     One sort of the packed keys orders the suffixes by their first ``width``
     symbols, and the highest bit in which adjacent sorted keys differ gives
-    the levels below ``width``.
+    the shared counts, and from them the levels below ``width``.
     Prefix doubling then re-sorts, in each round, only the rows of groups
     that still tie (Larsson and Sadakane).  A row's rank is the first row of
     its group, so once every group is one row the ranks are the ISA.
@@ -106,18 +112,22 @@ def _prefix_doubling(symbols) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]
     index = _index_dtype(n)
     sa = np.argsort(keys).astype(index)
     keys.sort()
-    # where adjacent sorted keys differ; row 0 starts a group at every level
+    # where adjacent sorted keys differ; row 0 shares nothing
     diff = np.empty_like(keys)
     diff[0] = np.iinfo(diff.dtype).max
     np.bitwise_xor(keys[1:], keys[:-1], out=diff[1:])
     del keys
+    # the first s symbols agree where the top s * bits bits of diff are 0
+    shared = np.zeros(n, dtype=np.uint8)
+    for s in range(1, width + 1):
+        shared += diff < 1 << ((width - s) * bits)
+    del diff
     levels = []
     h = 1
     while h < width:
-        levels.append(np.packbits(diff >= 1 << ((width - h) * bits)))
+        levels.append(np.packbits(shared < h))
         h *= 2
-    head = diff != 0
-    del diff
+    head = shared < width
     # rank[n] stands past the end, below every rank
     rank = np.empty(n + 1, dtype=index)
     rank[n] = -1
@@ -132,29 +142,51 @@ def _prefix_doubling(symbols) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]
         key += rank[rows + h] + 1
         order = np.argsort(key)
         sa[tied] = rows = rows[order]
+        del order  # before the next round builds its key
         key.sort()  # in place: key[order] would hold a second copy
         group_head = np.empty(len(key), dtype=bool)
         group_head[0] = True
         np.not_equal(key[1:], key[:-1], out=group_head[1:])
+        del key
         head[tied] = group_head
         rank[rows], tie = _groups(group_head, tied)
         tied = tied[tie]
         h *= 2
-    return sa, rank[:n], levels
+    return sa, rank, shared, levels
 
 
-def _lcp_from_levels(sa: np.ndarray, isa: np.ndarray, levels: list[np.ndarray]) -> np.ndarray:
-    """LCP of adjacent suffix array rows by binary lifting over the levels:
-    from the highest level down, level ``t`` adds ``2**t`` where the
-    suffixes share their next ``2**t`` symbols too."""
+def _lcp_from_levels(
+    sa: np.ndarray, isa: np.ndarray, shared: np.ndarray, levels: list[np.ndarray]
+) -> np.ndarray:
+    """LCP of adjacent suffix array rows from ``_prefix_doubling``'s output.
+
+    The shared count is the LCP of every row whose packed key differs from
+    the row above.  Only the rows of the largest count, which are the rows
+    whose keys tie if any do, are lifted: from the highest level down, level
+    ``t`` adds ``2**t`` where the two suffixes share their next ``2**t``
+    symbols too.  Lifting is exact for any row, so a row lifted without need
+    keeps its count.
+    """
     n = len(sa)
-    lcp = np.zeros(n, dtype=sa.dtype)
-    # group number of each position; the one past the end is in no group
+    lifted = shared == shared.max()
+    lifted[0] = False
+    # the two suffixes of each lifted row, moved on by what they share so far
+    a = sa[lifted]
+    b = sa[:-1][lifted[1:]]
+    # group number of each row, counted from 1; the past-the-end position
+    # has isa -1, which reads the trailing 0, in no group
     group = np.zeros(n + 1, dtype=sa.dtype)
-    a, b, step = sa[1:], sa[:-1], lcp[1:]
     for t in reversed(range(len(levels))):
-        group[:n] = np.cumsum(np.unpackbits(levels[t], count=n), dtype=sa.dtype)[isa]
-        np.add(step, 1 << t, out=step, where=group[a + step] == group[b + step])
+        np.cumsum(np.unpackbits(levels[t], count=n), dtype=sa.dtype, out=group[:n])
+        # a shifted 0/1 column adds faster than np.add(..., where=)
+        step = (group[isa[a]] == group[isa[b]]).astype(sa.dtype)
+        step <<= t
+        a += step
+        b += step
+    del group, b
+    a -= sa[lifted]
+    lcp = shared.astype(sa.dtype)
+    lcp[lifted] = a
     lcp[:1] = -1
     return lcp
 
@@ -197,7 +229,8 @@ def annotate(join: SegmentJoin, sa: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 def build_suffix_table(graph: PrefixFreeGraph) -> SuffixTable:
     join = build_join(graph)
-    sa, isa, levels = _prefix_doubling(_symbols(join.text))
-    lcp = _lcp_from_levels(sa, isa, levels)
+    sa, isa, shared, levels = _prefix_doubling(_symbols(join.text))
+    lcp = _lcp_from_levels(sa, isa, shared, levels)
+    del isa, shared, levels  # before annotate's columns
     seg_id, pos = annotate(join, sa)
     return SuffixTable(sa=sa, lcp=lcp, seg_id=seg_id, pos=pos)

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import StructureError
 from .graph import PAD, PrefixFreeGraph
-from .occurrences import segment_lengths
+from .occurrences import _path_steps, segment_lengths
 from .stream import mark_blocks
 from .suffixes import build_suffix_table
 
@@ -43,42 +45,69 @@ def _structural_report(graph: PrefixFreeGraph) -> ValidationReport:
     segs = graph.segments
     n = len(segs)
 
+    # Per segment: codes of its first and last k letters (equal codes, equal
+    # letters), whether it holds a pad, and whether it ends with k of them.
+    code_of: dict[str, int] = {}
+    heads, tails, padded, end_padded = [], [], [], []
     for i, seg in enumerate(segs):
+        content = seg.content
         if seg.id != i:
             err(f"segment at index {i} has id {seg.id}")
-        if len(seg.content) < k:
+        if len(content) < k:
             err(f"segment {i} shorter than k")
-        if i and segs[i - 1].content >= seg.content:
+        if i and segs[i - 1].content >= content:
             err(f"segments {i - 1} and {i} not in strict lexicographic order")
-        if len(seg.content) == k:
+        if len(content) == k:
             warn(f"segment {i} has degenerate length k")
-        dot = seg.content.find(PAD)
+        dot = content.find(PAD)
         if dot != -1:
-            run = seg.content[dot:]
+            run = content[dot:]
             if set(run) != {PAD} or len(run) != k:
                 err(f"segment {i} has misplaced pad characters")
+        heads.append(code_of.setdefault(content[:k], len(code_of)))
+        tails.append(code_of.setdefault(content[-k:], len(code_of)))
+        padded.append(dot != -1)
+        # count the trailing pads: PAD * k would be as large as the TL tag
+        end_padded.append(len(content) - len(content.rstrip(PAD)) >= k)
+    # row n stands for every unknown id
+    heads = np.array(heads + [-1], dtype=np.int32)
+    tails = np.array(tails + [-1], dtype=np.int32)
+    padded = np.array(padded + [False])
+    end_padded = np.array(end_padded + [True])
 
-    for j, (name, path) in enumerate(graph.paths):
-        if not path:
+    at, counts = _path_steps(graph)
+    ends = np.cumsum(counts)
+    begins = ends - counts
+    used = counts > 0
+    known = (at >= 0) & (at < n)
+    at[~known] = n  # the messages read the ids from graph.paths
+    # step i breaks the k-overlap with step i - 1 of its path
+    broken = np.zeros(len(at), dtype=bool)
+    np.not_equal(tails[at[:-1]], heads[at[1:]], out=broken[1:])
+    broken[begins[used]] = False
+    stray = padded[at]  # a padded step that is not its path's last
+    stray[ends[used] - 1] = False
+    # the paths with a problem; only these are gone through step by step
+    flagged = ~used
+    flagged[used] |= ~end_padded[at[ends[used] - 1]]
+    flagged[np.searchsorted(ends, np.flatnonzero(~known | broken | stray), side="right")] = True
+    for j in np.flatnonzero(flagged).tolist():
+        name, path = graph.paths[j]
+        b, e = begins[j], ends[j]
+        if b == e:
             err(f"path {j} ({name!r}) is empty")
             continue
-        for t, sid in enumerate(path):
-            if not 0 <= sid < n:
-                err(f"path {j} step {t} references unknown segment {sid}")
-        if any(not 0 <= sid < n for sid in path):
+        unknown = np.flatnonzero(~known[b:e]).tolist()
+        for t in unknown:
+            err(f"path {j} step {t} references unknown segment {path[t]}")
+        if unknown:
             continue
-        for t in range(1, len(path)):
-            a = segs[path[t - 1]].content
-            b = segs[path[t]].content
-            if a[-k:] != b[:k]:
-                err(f"path {j} step {t}: adjacent segments do not overlap by k")
-        # count the trailing pads: PAD * k would be as large as the TL tag
-        last = segs[path[-1]].content
-        if len(last) - len(last.rstrip(PAD)) < k:
+        for t in np.flatnonzero(broken[b:e]).tolist():
+            err(f"path {j} step {t}: adjacent segments do not overlap by k")
+        if not end_padded[at[e - 1]]:
             err(f"path {j} does not end with {k} pad characters")
-        for t, sid in enumerate(path[:-1]):
-            if PAD in segs[sid].content:
-                err(f"path {j} step {t}: padded segment {sid} is not path-final")
+        for t in np.flatnonzero(stray[b:e]).tolist():
+            err(f"path {j} step {t}: padded segment {path[t]} is not path-final")
     return report
 
 

@@ -248,6 +248,35 @@ class TestPfg2Sa:
         assert "TL" in err
 
 
+class TestRecordOrder:
+    """GFA fixes no record order; segment names must be unique."""
+
+    @pytest.mark.parametrize("argv", [[], ["--bwt"]], ids=["plain", "bwt"])
+    def test_paths_before_segments(self, running_gfa, argv):
+        lines = running_gfa.splitlines(True)
+        reordered = "".join([l for l in lines if l[0] == "P"] + [l for l in lines if l[0] != "P"][::-1])
+        assert run(pfg2sa_main, argv, reordered) == run(pfg2sa_main, argv, running_gfa)
+
+    def test_gfa2pfg_paths_before_segments(self, trigger_file, running_gfa):
+        lines = running_gfa.splitlines(True)
+        reordered = "".join([l for l in lines if l[0] == "P"] + [l for l in lines if l[0] != "P"])
+        assert run(gfa2pfg_main, ["-t", trigger_file], reordered) == (0, running_gfa, "")
+
+    @pytest.mark.parametrize("tool", ["gfa2pfg", "pfg2sa"])
+    def test_repeated_segment_name_fails(self, tool, trigger_file, running_gfa):
+        s_lines = [l for l in running_gfa.splitlines(True) if l.startswith("S\t")]
+        gfa = running_gfa + s_lines[1].replace("\tACG\n", "\tACGG\n")
+        argv = ["-t", trigger_file] if tool == "gfa2pfg" else []
+        status, out, err = run(MAINS[tool], argv, gfa)
+        assert (status, out) == (1, "")
+        line = len(running_gfa.splitlines()) + 1
+        assert err == f"{tool}: line {line}: segment name '1' is repeated\n"
+
+    def test_unknown_step_names_the_path_line(self, running_gfa):
+        gfa = "P\tx\t3+,9+\t2M\n" + running_gfa
+        assert run(pfg2sa_main, [], gfa) == (1, "", "pfg2sa: line 1: path step references unknown segment '9'\n")
+
+
 class ClosedPipe(io.StringIO):
     """An output whose reader has gone away."""
 

@@ -93,6 +93,63 @@ class TestReadGfa:
         with pytest.raises(FormatError):
             read_gfa(io.StringIO("S\t0\tACGT\nP\tp\t1+\t*\n"))
 
+    @pytest.mark.parametrize(
+        "p_line, message",
+        [
+            ("P\tp\t0+,0-\t*", "reverse-orientation step '0-' is unsupported"),
+            ("P\tp\t0+,0\t*", "malformed step '0'"),
+            ("P\tp\t0+,,0+\t*", "malformed step ''"),
+            ("P\tp\t\t*", "malformed step ''"),
+            ("P\tp\t0+,1+\t*", "path step references unknown segment '1'"),
+            # the first bad step decides, whatever is wrong with it
+            ("P\tp\t9+,0-\t*", "path step references unknown segment '9'"),
+            ("P\tp\t0+,0+\t2M,2M", "overlap count does not match step count"),
+            ("P\tp\t0+,0+\t*,2M", "overlap count does not match step count"),
+            ("P\tp\t0+,0+\t2X", "unsupported overlap '2X'"),
+            ("P\tp\t0+", "P-record needs a name, steps and overlaps"),
+            # a step splits at commas, so a name with one cannot be a step
+            ("P\tp\ta,b+\t*", "malformed step 'a'"),
+        ],
+    )
+    def test_path_errors_name_their_line(self, p_line, message):
+        gfa = f"H\tVN:Z:1.0\nS\t0\tAC..\nS\ta,b\tAC..\n{p_line}\nS\t1x\tCA..\n"
+        with pytest.raises(FormatError) as exc:
+            read_gfa(io.StringIO(gfa))
+        assert str(exc.value) == f"line 4: {message}"
+
+    def test_paths_before_their_segments(self):
+        doc = read_gfa(io.StringIO("P\tp\t1+,0+\t1M\nS\t0\tAC..\nS\t1\tCA\n"))
+        assert doc.paths == [("p", ["1", "0"], [1])]
+        assert doc.segments == {"0": "AC..", "1": "CA"}
+
+    def test_unknown_segment_names_its_path_line(self):
+        with pytest.raises(FormatError) as exc:
+            read_gfa(io.StringIO("P\tp\t0+,1+\t*\nS\t0\tAC..\nP\tq\t0+\t*\n"))
+        assert str(exc.value) == "line 1: path step references unknown segment '1'"
+
+    def test_repeated_segment_name_rejected(self):
+        with pytest.raises(FormatError) as exc:
+            read_gfa(io.StringIO("S\t0\tAC..\nS\t1\tCA..\nS\t0\tCA..\n"))
+        assert str(exc.value) == "line 3: segment name '0' is repeated"
+
+    @pytest.mark.parametrize(
+        "l_line, message",
+        [
+            ("L\t0\t+\t0\t+", "L-record needs five fields"),
+            ("L\t0\t+\t0\t-\t2M", "reverse orientation is unsupported"),
+            ("L\t0\t-\t0\t+\t2M", "reverse orientation is unsupported"),
+            ("L\t0\t+\t0\t+\t2", "unsupported overlap '2'"),
+        ],
+    )
+    def test_link_errors_name_their_line(self, l_line, message):
+        with pytest.raises(FormatError) as exc:
+            read_gfa(io.StringIO(f"S\t0\tAC..\n{l_line}\n"))
+        assert str(exc.value) == f"line 2: {message}"
+
+    def test_links_are_checked_not_kept(self):
+        doc = read_gfa(io.StringIO("S\t0\tAC..\nL\t0\t+\t0\t+\t*\nL\t0\t+\t9\t+\t2M\n"))
+        assert not hasattr(doc, "links")
+
     def test_unknown_record_types_ignored(self):
         doc = read_gfa(io.StringIO("W\twhatever\nS\t0\tACGT\n"))
         assert doc.segments == {"0": "ACGT"}

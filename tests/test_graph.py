@@ -13,6 +13,7 @@ from pfg import (
     reconstruct,
     validate,
 )
+from pfg.validation import _structural_report
 
 DISCOVERY = {0: "CAC", 1: "ACG", 2: "CGTAC", 3: "ACT..", 4: "ACAC", 5: "CGAC"}
 DISCOVERY_PATHS = [[0, 1, 2, 3], [0, 4, 3], [0, 1, 5, 3]]
@@ -106,6 +107,99 @@ class TestValidate:
     def test_periodic_megabase_memory_does_not_grow_with_rounds(self):
         # about 20 doubling rounds; a rank array kept per round took 139 MB
         assert validate_peak("ACG" * 333334) < 96 << 20
+
+
+def issues(graph):
+    return [(issue.severity, issue.message) for issue in _structural_report(graph).issues]
+
+
+class TestStructuralReport:
+    """Every message, in order, on hand-made graphs over the running
+    example's segments: ACAC, ACG, ACT.., CAC, CGAC, CGTAC with k = 2."""
+
+    def test_valid_paths_pass(self, graph):
+        assert issues(graph) == []
+
+    def test_path_messages_in_order(self, graph):
+        paths = [
+            ("good", [3, 1, 5, 2]),
+            ("empty", []),
+            # an unknown id hides every other problem of its path
+            ("unknown", [3, 6, 0, -1]),
+            ("mismatch", [3, 1, 0, 2]),  # ACG then ACAC: "CG" != "AC"
+            ("stray pad", [3, 1, 4, 2, 3]),  # ACT.. then CAC, and CAC ends it
+            ("unpadded", [3, 0]),
+            ("pad twice", [2, 2]),
+            ("lone pad", [2]),
+        ]
+        bad = PrefixFreeGraph(k=2, segments=graph.segments, paths=paths)
+        assert issues(bad) == [
+            ("error", "path 1 ('empty') is empty"),
+            ("error", "path 2 step 1 references unknown segment 6"),
+            ("error", "path 2 step 3 references unknown segment -1"),
+            ("error", "path 3 step 2: adjacent segments do not overlap by k"),
+            ("error", "path 4 step 4: adjacent segments do not overlap by k"),
+            ("error", "path 4 does not end with 2 pad characters"),
+            ("error", "path 4 step 3: padded segment 2 is not path-final"),
+            ("error", "path 5 does not end with 2 pad characters"),
+            ("error", "path 6 step 1: adjacent segments do not overlap by k"),
+            ("error", "path 6 step 0: padded segment 2 is not path-final"),
+        ]
+
+    def test_unknown_ids_without_segments(self):
+        g = PrefixFreeGraph(k=2, segments=[], paths=[("p", [0, 1]), ("q", [])])
+        assert issues(g) == [
+            ("error", "path 0 step 0 references unknown segment 0"),
+            ("error", "path 0 step 1 references unknown segment 1"),
+            ("error", "path 1 ('q') is empty"),
+        ]
+
+    def test_segment_messages_in_order(self):
+        segments = [
+            Segment(0, "CA"),
+            Segment(2, "AC"),
+            Segment(2, "AC.."),
+            Segment(3, "C.A.."),
+            Segment(4, "G"),
+            Segment(5, "GA."),
+        ]
+        g = PrefixFreeGraph(k=2, segments=segments, paths=[])
+        assert issues(g) == [
+            ("warning", "segment 0 has degenerate length k"),
+            ("error", "segment at index 1 has id 2"),
+            ("error", "segments 0 and 1 not in strict lexicographic order"),
+            ("warning", "segment 1 has degenerate length k"),
+            ("error", "segment 3 has misplaced pad characters"),
+            ("error", "segment 4 shorter than k"),
+            ("error", "segment 5 has misplaced pad characters"),
+        ]
+
+    def test_overlaps_of_segments_shorter_than_k(self):
+        # with k = 3, "AC" overlaps itself as a whole: each side of the
+        # comparison is whatever of its k letters the segment has
+        segments = [Segment(0, "AC"), Segment(1, "C...")]
+        g = PrefixFreeGraph(k=3, segments=segments, paths=[("a", [0, 0, 1]), ("b", [1])])
+        assert issues(g) == [
+            ("error", "segment 0 shorter than k"),
+            ("error", "path 0 step 2: adjacent segments do not overlap by k"),
+        ]
+
+    def test_end_pads_count_from_the_end(self):
+        # the last segment needs k trailing pads, and a padded segment
+        # anywhere but last is reported once per step
+        segments = [Segment(0, "AC"), Segment(1, "AC.."), Segment(2, "C.")]
+        g = PrefixFreeGraph(k=2, segments=segments, paths=[("a", [0, 2]), ("b", [1, 1, 1])])
+        assert issues(g) == [
+            ("warning", "segment 0 has degenerate length k"),
+            ("warning", "segment 2 has degenerate length k"),
+            ("error", "segment 2 has misplaced pad characters"),
+            ("error", "path 0 step 1: adjacent segments do not overlap by k"),
+            ("error", "path 0 does not end with 2 pad characters"),
+            ("error", "path 1 step 1: adjacent segments do not overlap by k"),
+            ("error", "path 1 step 2: adjacent segments do not overlap by k"),
+            ("error", "path 1 step 0: padded segment 1 is not path-final"),
+            ("error", "path 1 step 1: padded segment 1 is not path-final"),
+        ]
 
 
 class TestReconstruct:

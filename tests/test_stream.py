@@ -196,6 +196,30 @@ class TestBatches:
         assert [len(batch.sa) for batch in batches] == lengths
         assert [batch.first for batch in batches] == [sum(lengths[:i]) for i in range(len(lengths))]
 
+    @pytest.mark.parametrize("size", [1, 3, 4096])
+    def test_batch_order_is_the_lexsort_order(self, size, monkeypatch):
+        # each batch lists its emissions by block, then by right-context rank
+        monkeypatch.setattr(STREAM_MODULE, "BATCH_EMISSIONS", size)
+        for seed in range(20):
+            rng = random.Random(3000 + seed)
+            pangenome, triggers = random_instance(rng)
+            graph = build_graph(pangenome, triggers)
+            suffix_table, segment_table = build_suffix_table(graph), build_segment_table(graph)
+            _, block_start = mark_blocks(suffix_table, segment_table.lengths, graph.k)
+            block_of_row = np.cumsum(block_start)
+            row_of = {key: r for r, key in enumerate(zip(suffix_table.seg_id.tolist(), suffix_table.pos.tolist()))}
+            # an occurrence that emits anything has its own start in its segment
+            occurrence_seg = np.repeat(np.arange(len(segment_table.lengths)), np.diff(segment_table.offsets))
+            rank_of = dict(
+                zip(zip(occurrence_seg.tolist(), segment_table.start.tolist()), segment_table.rank.tolist())
+            )
+            for batch in emission_batches(graph, suffix_table, segment_table):
+                seg_ids, positions = batch.seg_id.tolist(), batch.pos.tolist()
+                blocks = [block_of_row[row_of[key]] for key in zip(seg_ids, positions)]
+                starts = (batch.sa - batch.pos).tolist()
+                ranks = [rank_of[key] for key in zip(seg_ids, starts)]
+                assert np.lexsort((ranks, blocks)).tolist() == list(range(len(batch.sa)))
+
     @pytest.mark.parametrize("size", [1, 2, 3])
     def test_small_batches_match_oracle(self, size, monkeypatch):
         monkeypatch.setattr(STREAM_MODULE, "BATCH_EMISSIONS", size)

@@ -98,7 +98,7 @@ class TestLcpArray:
 
     def test_periodic_text_lifts_more_than_ten_rounds(self):
         text = "ACG" * 370 + "$"
-        sa, _, levels = _prefix_doubling(_symbols(text))
+        sa, _, _, levels = _prefix_doubling(_symbols(text))
         assert len(levels) > 10
         assert lcp_array(text, sa).tolist() == naive_lcp(text, sa.tolist())
 
@@ -136,11 +136,42 @@ class TestPackedFirstSort:
         symbols = values + rng.choices(values, k=400)
         symbols += symbols[:60]  # a repeat that needs doubling rounds
         assert _packed_keys(np.array(symbols))[2] == width
-        sa, isa, levels = _prefix_doubling(np.array(symbols))
+        sa, isa, shared, levels = _prefix_doubling(np.array(symbols))
         expected = naive_int_suffix_array(symbols)
         assert sa.tolist() == expected
         assert isa[sa].tolist() == list(range(len(symbols)))
-        assert _lcp_from_levels(sa, isa, levels).tolist() == naive_lcp(symbols, expected)
+        assert _lcp_from_levels(sa, isa, shared, levels).tolist() == naive_lcp(symbols, expected)
+
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_adjacent_lcp_around_the_packing_width(self, extra):
+        # a word and its copy, told apart by the letter after them, share
+        # exactly width + extra letters
+        width = _packed_keys(_symbols("GTA#C$"))[2]
+        rng = random.Random(extra)
+        word = "".join(rng.choices("GT", k=width + extra))
+        text = word + "A#" + word + "C$"
+        sa = suffix_array(text)
+        lcp = lcp_array(text, sa).tolist()
+        assert width == 16
+        assert lcp == naive_lcp(text, sa.tolist())
+        assert max(lcp) == width + extra
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    @pytest.mark.parametrize("distinct, width", [(1, 32), (3, 16), (8, 8), (300, 4), (40_000, 2)])
+    def test_sparse_alphabets_around_the_packing_width(self, distinct, width, extra):
+        rng = random.Random(distinct + extra)
+        values = rng.sample(range(100_001), distinct)
+        word = rng.choices(values, k=width + extra)
+        # with one value every LCP up to the length occurs
+        symbols = values + word + values[:1] + rng.choices(values, k=40) + word + values[-1:]
+        assert _packed_keys(np.array(symbols))[2] == width
+        sa, isa, shared, levels = _prefix_doubling(np.array(symbols))
+        expected = naive_int_suffix_array(symbols)
+        lcp = _lcp_from_levels(sa, isa, shared, levels).tolist()
+        assert sa.tolist() == expected
+        assert lcp == naive_lcp(symbols, expected)
+        assert width + extra in lcp
 
 
 class TestAnnotate:
