@@ -12,13 +12,14 @@ from .graph import (
     Pangenome,
     PrefixFreeGraph,
     Segment,
+    SegmentJoin,
     normalize,
     reconstruct,
 )
-from .occurrences import PathJoin, SegmentTable, build_path_join, build_segment_table
+from .occurrences import SegmentTable, build_path_join, build_segment_table
 from .partition import build_graph, partition_sequence
 from .stream import Emission, stream
-from .suffixes import SegmentJoin, SuffixTable, build_join, build_suffix_table
+from .suffixes import SuffixTable, build_join, build_suffix_table
 from .validation import validate
 
 __all__ = [
@@ -28,7 +29,6 @@ __all__ = [
     "GfaDocument",
     "PAD",
     "Pangenome",
-    "PathJoin",
     "PfgError",
     "PrefixFreeGraph",
     "SENTINEL",

@@ -22,7 +22,7 @@ from .graph import Pangenome, reconstruct
 from .occurrences import build_segment_table
 from .oracle import MAX_ORACLE_BYTES, oracle_bwt, oracle_sa
 from .partition import build_graph
-from .stream import Batch, emission_batches, stream
+from .stream import Batch, emission_batches
 from .suffixes import build_suffix_table
 from .validation import validate
 
@@ -165,6 +165,7 @@ def _pfg2sa(args, stdin, stdout, stderr):
     graph = graph_from_gfa(_read(args.input, stdin, read_gfa))
     suffix_table = build_suffix_table(graph)
     segment_table = build_segment_table(graph)
+    batches = emission_batches(graph, suffix_table, segment_table, with_bwt=args.bwt or args.verify)
     if args.verify:
         pangenome = Pangenome(
             sequences=[
@@ -177,16 +178,17 @@ def _pfg2sa(args, stdin, stdout, stderr):
             return 1
         expected_sa = oracle_sa(pangenome, graph.k)
         expected_bwt = oracle_bwt(pangenome, expected_sa)
-        emissions = list(stream(graph, suffix_table, segment_table))
-        got_sa = [e.sa for e in emissions]
-        got_bwt = [e.bwt for e in emissions]
-        if got_sa != expected_sa or got_bwt != expected_bwt:
+        # the batches that are checked are the batches that are written
+        batches = list(batches)
+        got_sa = [sa for batch in batches for sa in batch.sa.tolist()]
+        got_bwt = b"".join(batch.bwt.tobytes() for batch in batches).decode("ascii")
+        if got_sa != expected_sa or got_bwt != "".join(expected_bwt):
             print("pfg2sa: stream disagrees with the oracle", file=stderr)
             return 1
         if not args.quiet:
             print("verified against the brute-force oracle", file=stderr)
-    for batch in emission_batches(graph, suffix_table, segment_table, with_bwt=args.bwt):
-        stdout.write(_format_batch(batch))
+    for batch in batches:
+        stdout.write(_format_batch(batch if args.bwt else batch._replace(bwt=None)))
     return 0
 
 

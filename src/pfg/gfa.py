@@ -15,7 +15,6 @@ import numpy as np
 
 from .errors import FormatError, StructureError
 from .graph import PAD, Pangenome, PrefixFreeGraph, Segment, invalid_letter
-from .occurrences import _path_steps
 from .validation import _structural_report
 
 
@@ -48,11 +47,10 @@ def write_gfa(graph: PrefixFreeGraph, sink) -> None:
     # step pairs with nothing; its key -1 sorts first and goes with the
     # repeats.
     n = len(graph.segments)
-    steps, counts = _path_steps(graph)
+    steps = graph.steps
     keys = steps * n
     keys[:-1] += steps[1:]
-    keys[np.cumsum(counts) - 1] = -1
-    del steps
+    keys[graph.path_offsets[1:] - 1] = -1
     keys.sort()
     pairs = keys[1:][keys[1:] != keys[:-1]]
     for a, b in zip((pairs // n).tolist(), (pairs % n).tolist()):
@@ -195,13 +193,11 @@ def graph_from_gfa(doc: GfaDocument) -> PrefixFreeGraph:
     k = doc.trigger_length
     if k is None:
         raise FormatError("missing TL header tag (trigger length)")
-    try:
-        ids = sorted(doc.segments, key=int)
-    except ValueError:
-        raise FormatError("segment names must be integer ids")
-    if [int(s) for s in ids] != list(range(len(ids))):
-        raise FormatError("segment ids must be consecutive from 0")
-    segments = [Segment(int(s), doc.segments[s]) for s in ids]
+    # exactly the ids in plain decimal: int() would also take 01, +1, 0_1 and " 1"
+    names = [str(i) for i in range(len(doc.segments))]
+    if doc.segments.keys() != set(names):
+        raise FormatError(f"segment names must be the ids 0 to {len(names) - 1} in plain decimal")
+    segments = [Segment(i, doc.segments[name]) for i, name in enumerate(names)]
     paths = [(name, list(map(int, steps))) for name, steps, _ in doc.paths]
     graph = PrefixFreeGraph(k=k, segments=segments, paths=paths)
     report = _structural_report(graph)

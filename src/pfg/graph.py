@@ -10,7 +10,10 @@ characters.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import chain
+
+import numpy as np
 
 from .errors import StructureError
 
@@ -71,10 +74,49 @@ class Segment:
 
 
 @dataclass
+class SegmentJoin:
+    """All segment contents concatenated with separators and a sentinel."""
+
+    text: bytes
+    boundaries: np.ndarray  # int64 start offset of each segment in text
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """``array``, which every reader of a graph shares, made read-only."""
+    array.flags.writeable = False
+    return array
+
+
+@dataclass
 class PrefixFreeGraph:
+    """Segments and ID-paths, plus columns derived from them.
+
+    The columns are built once, when the graph is made, so a graph must not
+    be changed after it is made.  Segment contents must be ASCII.
+    """
+
     k: int
     segments: list[Segment]
     paths: list[tuple[str, list[int]]]
+    lengths: np.ndarray = field(init=False, repr=False, compare=False)  # int64 segment lengths, pads included
+    join: SegmentJoin = field(init=False, repr=False, compare=False)
+    steps: np.ndarray = field(init=False, repr=False, compare=False)  # int64 segment id of every path step, in path order
+    # int64, one more than the path count: path j's steps are
+    # steps[path_offsets[j]:path_offsets[j + 1]]
+    path_offsets: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        contents = [seg.content for seg in self.segments]
+        self.lengths = _read_only(np.fromiter(map(len, contents), dtype=np.int64, count=len(contents)))
+        self.join = SegmentJoin(
+            text=SEPARATOR.join([*contents, SENTINEL]).encode("ascii"),
+            boundaries=_read_only(np.cumsum(self.lengths + 1) - self.lengths - 1),
+        )
+        counts = np.fromiter((len(path) for _, path in self.paths), dtype=np.int64, count=len(self.paths))
+        self.path_offsets = _read_only(np.append(0, np.cumsum(counts)))
+        self.steps = _read_only(
+            np.fromiter(chain.from_iterable(path for _, path in self.paths), dtype=np.int64, count=int(counts.sum()))
+        )
 
     def content(self, seg_id: int) -> str:
         return self.segments[seg_id].content

@@ -3,23 +3,15 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
 from .graph import SENTINEL, PrefixFreeGraph
-from .suffixes import _prefix_doubling, build_join
+from .suffixes import _prefix_doubling
 
 END = 0  # terminates the path join; smallest symbol
 SEP = 1  # delimits paths; below every segment id
 _ID_BASE = 2  # segment id i is stored as symbol i + 2
-
-
-@dataclass
-class PathJoin:
-    """All ID-paths concatenated over the integer symbol alphabet."""
-
-    symbols: np.ndarray  # int64
 
 
 @dataclass
@@ -30,50 +22,38 @@ class SegmentTable:
     of ``start``, ``rank`` and ``prev``, sorted ascending by rank.
     """
 
-    lengths: np.ndarray  # int64 segment lengths, pads included
+    lengths: np.ndarray  # the graph's int64 segment lengths, pads included
     offsets: np.ndarray  # int64, one more than the segment count
     start: np.ndarray  # int64 pangenome offset
     rank: np.ndarray  # right-context rank (ISA of the following join position), int32 below 2**31 symbols
     prev: np.ndarray  # uint8 preceding pangenome byte, SENTINEL at sequence starts
 
 
-def segment_lengths(graph: PrefixFreeGraph) -> np.ndarray:
-    return np.array([len(seg.content) for seg in graph.segments], dtype=np.int64)
-
-
-def _path_steps(graph: PrefixFreeGraph) -> tuple[np.ndarray, np.ndarray]:
-    """Segment id of every path step in path order, and the steps per path."""
-    counts = np.array([len(path) for _, path in graph.paths], dtype=np.int64)
-    ids = np.fromiter(
-        chain.from_iterable(path for _, path in graph.paths), dtype=np.int64, count=int(counts.sum())
-    )
-    return ids, counts
-
-
-def build_path_join(graph: PrefixFreeGraph) -> PathJoin:
-    ids, counts = _path_steps(graph)
-    symbols = np.full(len(ids) + len(counts) + 1, SEP, dtype=np.int64)
+def build_path_join(graph: PrefixFreeGraph) -> np.ndarray:
+    """All ID-paths concatenated over the integer symbol alphabet, as int64
+    symbols: each path and a SEP, then END."""
+    ids, offsets = graph.steps, graph.path_offsets
+    symbols = np.full(len(ids) + len(offsets), SEP, dtype=np.int64)
     # every earlier path adds one SEP before a step
-    symbols[np.arange(len(ids)) + np.repeat(np.arange(len(counts)), counts)] = ids + _ID_BASE
+    symbols[np.arange(len(ids)) + np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))] = ids + _ID_BASE
     symbols[-1] = END
-    return PathJoin(symbols=symbols)
+    return symbols
 
 
-def right_context_ranks(join: PathJoin) -> np.ndarray:
-    """Rank of the join suffix following each path step, in path order.
+def right_context_ranks(symbols: np.ndarray) -> np.ndarray:
+    """Rank of the path-join suffix following each path step, in path order.
 
     The ranks are raw ISA values of the path-join suffix array; only their
     relative order matters.
     """
-    isa = _prefix_doubling(join.symbols)[1]
-    return isa[np.flatnonzero(join.symbols >= _ID_BASE) + 1]
+    isa = _prefix_doubling(symbols)[1]
+    return isa[np.flatnonzero(symbols >= _ID_BASE) + 1]
 
 
 def occurrence_starts(graph: PrefixFreeGraph) -> np.ndarray:
     """Pangenome start offset of every path step, in path order."""
-    ids, _ = _path_steps(graph)
-    widths = segment_lengths(graph)[ids] - graph.k
-    starts = np.zeros(len(ids), dtype=np.int64)
+    widths = graph.lengths[graph.steps] - graph.k
+    starts = np.zeros(len(widths), dtype=np.int64)
     np.cumsum(widths[:-1], out=starts[1:])
     return starts
 
@@ -85,28 +65,23 @@ def preceding_chars(graph: PrefixFreeGraph) -> np.ndarray:
     owns letters (a segment of length k owns none), or SENTINEL when there
     is no such step.
     """
-    ids, counts = _path_steps(graph)
-    lengths = segment_lengths(graph)
-    k = graph.k
-    join = build_join(graph)
-    text = np.frombuffer(join.text.encode("ascii"), dtype=np.uint8)
-    boundaries = np.asarray(join.boundaries, dtype=np.int64)
+    ids, offsets, lengths, k = graph.steps, graph.path_offsets, graph.lengths, graph.k
+    text = np.frombuffer(graph.join.text, dtype=np.uint8)
     steps = np.arange(len(ids))
     owner = np.maximum.accumulate(np.where(lengths[ids] > k, steps, -1))
     before = np.roll(owner, 1)
     before[:1] = -1
-    path_first = np.repeat(np.cumsum(counts) - counts, counts)
+    path_first = np.repeat(offsets[:-1], np.diff(offsets))
     inner = before >= path_first
     owner_ids = ids[before[inner]]
     prev = np.full(len(ids), ord(SENTINEL), dtype=np.uint8)
-    prev[inner] = text[boundaries[owner_ids] + lengths[owner_ids] - k - 1]
+    prev[inner] = text[graph.join.boundaries[owner_ids] + lengths[owner_ids] - k - 1]
     return prev
 
 
 def build_segment_table(graph: PrefixFreeGraph) -> SegmentTable:
     """Group the path steps by segment and sort each group by rank."""
-    ids, _ = _path_steps(graph)
-    lengths = segment_lengths(graph)
+    ids, lengths = graph.steps, graph.lengths
     ranks = right_context_ranks(build_path_join(graph))
     order = np.lexsort((ranks, ids))
     offsets = np.zeros(len(lengths) + 1, dtype=np.int64)

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import StructureError
 from .graph import PrefixFreeGraph
 from .occurrences import SegmentTable
-from .suffixes import SuffixTable, build_join
+from .suffixes import SuffixTable
 
 # Most emissions in one batch.  A block wider than this is a batch of its
 # own.  A batch's columns and its formatted bytes are live at once, so a
@@ -105,7 +105,7 @@ def emission_batches(
     # kept-row index and first emission of every block, then the ends
     first_rows = np.flatnonzero(np.append(block_start, True))
     bounds = row_begin[first_rows]
-    text = np.frombuffer(build_join(graph).text.encode("ascii"), dtype=np.uint8) if with_bwt else None
+    text = np.frombuffer(graph.join.text, dtype=np.uint8)
     # every rank is below this, so block * rank_bound + rank orders by both
     rank_bound = int(segment_table.rank.max()) + 1 if len(segment_table.rank) else 1
     b = 0

@@ -1,4 +1,4 @@
-"""Segment join and its suffix/LCP/ID/position arrays (the suffix table)."""
+"""Suffix, LCP, ID and position arrays over the graph's segment join (the suffix table)."""
 
 from __future__ import annotations
 
@@ -6,17 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import SENTINEL, SEPARATOR, PrefixFreeGraph, char_rank
+from .graph import PrefixFreeGraph, SegmentJoin, char_rank
 
 _RANK_LUT = np.array([char_rank(chr(b)) for b in range(256)], dtype=np.uint16)
-
-
-@dataclass
-class SegmentJoin:
-    """All segment contents concatenated with separators and a sentinel."""
-
-    text: str
-    boundaries: list[int]  # start offset of each segment in text
 
 
 @dataclass
@@ -34,16 +26,8 @@ class SuffixTable:
 
 
 def build_join(graph: PrefixFreeGraph) -> SegmentJoin:
-    parts = []
-    boundaries = []
-    offset = 0
-    for seg in graph.segments:
-        boundaries.append(offset)
-        parts.append(seg.content)
-        parts.append(SEPARATOR)
-        offset += len(seg.content) + 1
-    parts.append(SENTINEL)
-    return SegmentJoin(text="".join(parts), boundaries=boundaries)
+    """The graph's segment join, which the graph builds once."""
+    return graph.join
 
 
 def _index_dtype(n: int) -> type:
@@ -191,17 +175,19 @@ def _lcp_from_levels(
     return lcp
 
 
-def _symbols(text: str) -> np.ndarray:
+def _symbols(text: str | bytes) -> np.ndarray:
     """``text`` as symbols under the reserved-character ranking."""
-    return _RANK_LUT[np.frombuffer(text.encode("ascii"), dtype=np.uint8)]
+    if isinstance(text, str):
+        text = text.encode("ascii")
+    return _RANK_LUT[np.frombuffer(text, dtype=np.uint8)]
 
 
-def suffix_array(text: str) -> np.ndarray:
+def suffix_array(text: str | bytes) -> np.ndarray:
     """Suffix array of ``text`` under the reserved-character ranking."""
     return _prefix_doubling(_symbols(text))[0]
 
 
-def lcp_array(text: str, sa: np.ndarray) -> np.ndarray:
+def lcp_array(text: str | bytes, sa: np.ndarray) -> np.ndarray:
     """LCP of adjacent rows of ``sa``, the suffix array of ``text``; LCP[0] = -1."""
     return _lcp_from_levels(np.asarray(sa), *_prefix_doubling(_symbols(text))[1:])
 
@@ -214,21 +200,17 @@ def annotate(join: SegmentJoin, sa: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     """
     n = len(join.text)
     index = _index_dtype(n)
-    raw = np.frombuffer(join.text.encode("ascii"), dtype=np.uint8)
-    seg_id_text = np.zeros(n, dtype=index)
-    # a separator closes its own segment, so the next id starts after it
-    np.cumsum(raw[:-1] == ord(SEPARATOR), out=seg_id_text[1:])
-    # the sentinel's id is the segment count, and its offset is 0
-    boundaries = np.empty(len(join.boundaries) + 1, dtype=index)
-    boundaries[:-1] = join.boundaries
-    boundaries[-1] = n - 1
-    pos_text = np.arange(n, dtype=index) - boundaries[seg_id_text]
+    # a segment's positions run to its separator; the sentinel's id is the
+    # segment count, and its offset is 0
+    starts = np.append(join.boundaries, n - 1).astype(index)
+    seg_id_text = np.repeat(np.arange(len(starts), dtype=index), np.diff(starts, append=n))
+    pos_text = np.arange(n, dtype=index) - starts[seg_id_text]
     sa = np.asarray(sa)
     return seg_id_text[sa], pos_text[sa]
 
 
 def build_suffix_table(graph: PrefixFreeGraph) -> SuffixTable:
-    join = build_join(graph)
+    join = graph.join
     sa, isa, shared, levels = _prefix_doubling(_symbols(join.text))
     lcp = _lcp_from_levels(sa, isa, shared, levels)
     del isa, shared, levels  # before annotate's columns

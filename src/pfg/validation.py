@@ -8,7 +8,6 @@ import numpy as np
 
 from .errors import StructureError
 from .graph import PAD, PrefixFreeGraph
-from .occurrences import _path_steps, segment_lengths
 from .stream import mark_blocks
 from .suffixes import build_suffix_table
 
@@ -75,12 +74,10 @@ def _structural_report(graph: PrefixFreeGraph) -> ValidationReport:
     padded = np.array(padded + [False])
     end_padded = np.array(end_padded + [True])
 
-    at, counts = _path_steps(graph)
-    ends = np.cumsum(counts)
-    begins = ends - counts
-    used = counts > 0
-    known = (at >= 0) & (at < n)
-    at[~known] = n  # the messages read the ids from graph.paths
+    begins, ends = graph.path_offsets[:-1], graph.path_offsets[1:]
+    used = ends > begins
+    known = (graph.steps >= 0) & (graph.steps < n)
+    at = np.where(known, graph.steps, n)  # the messages read the ids from graph.paths
     # step i breaks the k-overlap with step i - 1 of its path
     broken = np.zeros(len(at), dtype=bool)
     np.not_equal(tails[at[:-1]], heads[at[1:]], out=broken[1:])
@@ -116,7 +113,7 @@ def validate(graph: PrefixFreeGraph) -> ValidationReport:
     own check on the suffix table, which reports the first violation only."""
     report = _structural_report(graph)
     try:
-        mark_blocks(build_suffix_table(graph), segment_lengths(graph), graph.k)
+        mark_blocks(build_suffix_table(graph), graph.lengths, graph.k)
     except StructureError as exc:
         report.issues.append(Issue("error", str(exc)))
     return report

@@ -8,7 +8,7 @@ import importlib
 
 import pytest
 
-from pfg import Pangenome, TriggerSet, build_graph
+from pfg import Pangenome, TriggerSet, build_graph, build_segment_table, build_suffix_table, stream
 
 LOOKED_UP = [
     ("pfg.automaton", "compile_triggers"),
@@ -59,3 +59,20 @@ def test_graph_exposes_contents_and_paths():
     graph = build_graph(Pangenome(sequences=[("a", "ACTAGT")]), TriggerSet.from_words(["TAG"]))
     assert all(isinstance(graph.segments[i].content, str) for i in range(len(graph.segments)))
     assert [(name, type(path)) for name, path in graph.paths] == [("a", list)]
+
+
+def test_helpers_take_what_the_benchmark_passes(graph):
+    """Each timed helper called as the traced run calls it, on the running
+    example: 31 join symbols, 11 path steps and 21 emissions."""
+    suffixes = importlib.import_module("pfg.suffixes")
+    occurrences = importlib.import_module("pfg.occurrences")
+    join = suffixes.build_join(graph)
+    sa = suffixes.suffix_array(join.text)
+    assert len(sa) == 31
+    assert len(suffixes.lcp_array(join.text, sa)) == 31
+    seg_id, pos = suffixes.annotate(join, sa)
+    assert (len(seg_id), len(pos)) == (31, 31)
+    ranks = occurrences.right_context_ranks(occurrences.build_path_join(graph))
+    assert len(ranks) == 11
+    tables = build_suffix_table(graph), build_segment_table(graph)
+    assert sum(1 for _ in stream(graph, *tables, with_bwt=True)) == 21

@@ -21,10 +21,12 @@ from pfg import (
     write_gfa,
 )
 from pfg.cli import fasta2pfg_main, gfa2pfg_main, pfg2sa_main
+from pfg.stream import emission_batches
 
 FASTA = ">s1\nCACGTACT\n>s2\nCACACT\n>s3\nCACGACT\n"
 # the package exports the function ``stream`` under the module's name
 STREAM_MODULE = importlib.import_module("pfg.stream")
+CLI_MODULE = importlib.import_module("pfg.cli")
 SRC = Path(__file__).resolve().parent.parent / "src"
 MAINS = {"fasta2pfg": fasta2pfg_main, "gfa2pfg": gfa2pfg_main, "pfg2sa": pfg2sa_main}
 # a byte that UTF-8 never uses, in the sequence and in a line of its own
@@ -180,6 +182,20 @@ class TestPfg2Sa:
         status, _, err = run(pfg2sa_main, ["--verify"], corrupted)
         assert status == 1
 
+    @pytest.mark.parametrize("argv", [[], ["--bwt"]], ids=["plain", "bwt"])
+    def test_verify_keeps_the_output(self, running_gfa, argv):
+        status, out, err = run(pfg2sa_main, ["--verify", *argv], running_gfa)
+        assert (status, err) == (0, "verified against the brute-force oracle\n")
+        assert out == run(pfg2sa_main, argv, running_gfa)[1]
+
+    def test_verify_checks_the_batches_it_writes(self, running_gfa, monkeypatch):
+        def reversed_sa(*args, **kwargs):
+            for batch in emission_batches(*args, **kwargs):
+                yield batch._replace(sa=batch.sa[::-1])
+
+        monkeypatch.setattr(CLI_MODULE, "emission_batches", reversed_sa)
+        assert run(pfg2sa_main, ["--verify"], running_gfa) == (1, "", "pfg2sa: stream disagrees with the oracle\n")
+
     def test_non_ascii_segment_rejected(self):
         gfa = "H\tVN:Z:1.0\tTL:i:2\nS\t0\tAC\u00c9G..\nP\tp\t0+\t*\n"
         status, out, err = run(pfg2sa_main, [], gfa)
@@ -207,7 +223,7 @@ class TestPfg2Sa:
         # lists, so that a failure reports the first differing line quickly
         assert out.split("\n") == wide_lines[bool(argv)].split("\n")
 
-    @pytest.mark.parametrize("argv", [[], ["--bwt"]], ids=["plain", "bwt"])
+    @pytest.mark.parametrize("argv", [[], ["--bwt"], ["--verify", "-q"]], ids=["plain", "bwt", "verify"])
     def test_no_paths_prints_nothing(self, running_gfa, argv):
         gfa = "".join(l for l in running_gfa.splitlines(True) if not l.startswith("P"))
         assert run(pfg2sa_main, argv, gfa) == (0, "", "")
@@ -246,6 +262,14 @@ class TestPfg2Sa:
         status, _, err = run(pfg2sa_main, [], gfa)
         assert status == 1
         assert "TL" in err
+
+    @pytest.mark.parametrize("first, second", [("0", "0_1"), ("00", "1")])
+    def test_segment_names_must_be_plain_ids(self, first, second):
+        # int() reads 0_1 as 1 and 00 as 0, so both GFAs once made a valid graph
+        gfa = f"H\tVN:Z:1.0\tTL:i:2\nS\t{first}\tAC..\nS\t{second}\tCAC\nP\tp\t{second}+,{first}+\t2M\n"
+        status, out, err = run(pfg2sa_main, [], gfa)
+        assert (status, out) == (1, "")
+        assert err == "pfg2sa: segment names must be the ids 0 to 1 in plain decimal\n"
 
 
 class TestRecordOrder:

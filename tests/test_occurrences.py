@@ -19,22 +19,22 @@ from conftest import SEGMENT_TABLE_ROWS, occurrences
 
 class TestPathJoin:
     def test_running_example_symbols(self, graph):
-        join = build_path_join(graph)
+        symbols = build_path_join(graph)
         ids = [3, 1, 5, 2, None, 3, 0, 2, None, 3, 1, 4, 2, None, None]
-        assert len(join.symbols) == 15
+        assert len(symbols) == 15
         expected = []
         for sid in ids[:-1]:
             expected.append(SEP if sid is None else sid + 2)
         expected.append(END)
-        assert join.symbols.tolist() == expected
+        assert symbols.tolist() == expected
 
     def test_single_path(self):
         g = normalize({0: "AB.."}, [[0]], k=2)
-        assert build_path_join(g).symbols.tolist() == [2, SEP, END]
+        assert build_path_join(g).tolist() == [2, SEP, END]
 
     def test_identical_paths_repeat(self):
         g = normalize({0: "AB.."}, [[0], [0]], k=2)
-        assert build_path_join(g).symbols.tolist() == [2, SEP, 2, SEP, END]
+        assert build_path_join(g).tolist() == [2, SEP, 2, SEP, END]
 
 
 class TestStarts:
@@ -64,8 +64,7 @@ class TestRanks:
         table = build_segment_table(graph)
         ranks = table.rank.tolist()
         assert len(ranks) == len(set(ranks))
-        join = build_path_join(graph)
-        assert set(ranks) <= set(range(len(join.symbols)))
+        assert set(ranks) <= set(range(len(build_path_join(graph))))
 
     def test_duplicate_sequences_get_distinct_ranks(self):
         p = Pangenome(sequences=[("a", "CACT"), ("b", "CACT")])
