@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from .errors import PfgError
+from .errors import PfgError, StructureError
 from .fasta import read_fasta, read_triggers
 from .gfa import expand_gfa_paths, graph_from_gfa, read_gfa, write_gfa
 from .graph import Pangenome, reconstruct
@@ -31,27 +31,16 @@ def _builder_parser(prog, description):
     parser = argparse.ArgumentParser(prog=prog, description=description)
     parser.add_argument("-t", "--triggers", required=True, help="trigger word file, one word per line")
     parser.add_argument("input", nargs="?", help="input file (default: standard input)")
-    parser.add_argument("-q", "--quiet", action="store_true", help="suppress warnings")
     return parser
 
 
-def _report_warnings(report, quiet, stderr):
-    if quiet:
-        return
-    for issue in report.warnings:
-        print(f"warning: {issue.message}", file=stderr)
-
-
-def _run_builder(pangenome, args, stdout, stderr):
+def _run_builder(pangenome, args, stdout):
     with open(args.triggers, encoding="utf-8") as fh:
         triggers = read_triggers(fh)
     graph = build_graph(pangenome, triggers)
     report = validate(graph)
-    _report_warnings(report, args.quiet, stderr)
     if not report.ok:
-        for issue in report.errors:
-            print(f"error: {issue.message}", file=stderr)
-        return 1
+        raise StructureError("built graph is not a valid prefix-free graph: " + "; ".join(report.errors))
     write_gfa(graph, stdout)
     return 0
 
@@ -102,12 +91,12 @@ def _read(path, stdin, reader):
 
 
 def _fasta2pfg(args, stdin, stdout, stderr):
-    return _run_builder(_read(args.input, stdin, read_fasta), args, stdout, stderr)
+    return _run_builder(_read(args.input, stdin, read_fasta), args, stdout)
 
 
 def _gfa2pfg(args, stdin, stdout, stderr):
     pangenome = expand_gfa_paths(_read(args.input, stdin, read_gfa))
-    return _run_builder(pangenome, args, stdout, stderr)
+    return _run_builder(pangenome, args, stdout)
 
 
 def fasta2pfg_main(argv=None, stdin=None, stdout=None, stderr=None):
@@ -202,5 +191,5 @@ def pfg2sa_main(argv=None, stdin=None, stdout=None, stderr=None):
         action="store_true",
         help="cross-check against the brute-force oracle (small inputs only)",
     )
-    parser.add_argument("-q", "--quiet", action="store_true", help="suppress warnings")
+    parser.add_argument("-q", "--quiet", action="store_true", help="do not print the --verify success note")
     return _run_tool("pfg2sa", _pfg2sa, parser.parse_args(argv), stdin, stdout, stderr)

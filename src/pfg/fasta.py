@@ -18,7 +18,7 @@ def read_fasta(stream) -> Pangenome:
     chunks: list[str] = []
     start_line = 0
 
-    def flush(end_line):
+    def flush():
         if name is None:
             return
         data = "".join(chunks)
@@ -29,10 +29,11 @@ def read_fasta(stream) -> Pangenome:
     for lineno, line in enumerate(stream, start=1):
         line = line.rstrip("\r\n")
         if line.startswith(">"):
-            flush(lineno)
-            name = line[1:].split()[0] if line[1:].split() else ""
-            if not name:
+            flush()
+            words = line[1:].split(maxsplit=1)
+            if not words:
                 raise FormatError("record has an empty name", line=lineno)
+            name = words[0]
             chunks = []
             start_line = lineno
         elif line.strip():
@@ -43,7 +44,7 @@ def read_fasta(stream) -> Pangenome:
             if bad is not None:
                 raise FormatError(f"reserved or invalid character {bad!r}", line=lineno)
             chunks.append(part.upper())
-    flush(None)
+    flush()
     if not sequences:
         raise FormatError("no FASTA records found", line=1)
     return Pangenome(sequences=sequences)

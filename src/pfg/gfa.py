@@ -40,8 +40,8 @@ def write_gfa(graph: PrefixFreeGraph, sink) -> None:
     """Deterministic GFA 1.0 output: header, S by id, L sorted, P in order."""
     k = graph.k
     sink.write(f"H\tVN:Z:1.0\tTL:i:{k}\n")
-    for seg in graph.segments:
-        sink.write(f"S\t{seg.id}\t{seg.content}\n")
+    for i, seg in enumerate(graph.segments):
+        sink.write(f"S\t{i}\t{seg.content}\n")
     # Key a * n + b for each step pair (a, b), sorted and deduplicated by
     # hand (np.unique imports numpy.ma on its first call).  A path's last
     # step pairs with nothing; its key -1 sorts first and goes with the
@@ -164,21 +164,28 @@ def _parse_overlap(token: str, lineno: int) -> int:
 def expand_gfa_paths(doc: GfaDocument) -> Pangenome:
     """Expand each path by overlap-eliding concatenation; strip trailing pads.
 
-    Declared overlaps must agree with the actual segment sequences.
+    Declared overlaps must agree with the actual segment sequences, and
+    none may be longer than a segment it joins.
     """
     sequences = []
     for name, steps, overlaps in doc.paths:
-        expanded = doc.segments[steps[0]]
+        expanded = prev = doc.segments[steps[0]]
         for t in range(1, len(steps)):
             nxt = doc.segments[steps[t]]
             ov = overlaps[t - 1] if overlaps is not None else 0
             if ov:
+                if ov > min(len(prev), len(nxt)):
+                    raise FormatError(
+                        f"path {name!r} step {t}: declared overlap {ov} is longer "
+                        "than a segment it joins"
+                    )
                 if expanded[-ov:] != nxt[:ov]:
                     raise FormatError(
                         f"path {name!r} step {t}: declared overlap {ov} does not "
                         "match the segment sequences"
                     )
             expanded += nxt[ov:]
+            prev = nxt
         expanded = expanded.rstrip(PAD)
         if not expanded:
             raise FormatError(f"path {name!r} expands to an empty sequence")
@@ -197,13 +204,15 @@ def graph_from_gfa(doc: GfaDocument) -> PrefixFreeGraph:
     names = [str(i) for i in range(len(doc.segments))]
     if doc.segments.keys() != set(names):
         raise FormatError(f"segment names must be the ids 0 to {len(names) - 1} in plain decimal")
-    segments = [Segment(i, doc.segments[name]) for i, name in enumerate(names)]
+    segments = [Segment(doc.segments[name]) for name in names]
     paths = [(name, list(map(int, steps))) for name, steps, _ in doc.paths]
     graph = PrefixFreeGraph(k=k, segments=segments, paths=paths)
     report = _structural_report(graph)
     if not report.ok:
-        raise StructureError(
-        "GFA does not encode a valid prefix-free graph: "
-            + "; ".join(issue.message for issue in report.errors)
-        )
+        raise StructureError("GFA does not encode a valid prefix-free graph: " + "; ".join(report.errors))
+    # the graph reads each path as its segments overlapping by k, so a path
+    # that declares any other overlap would spell another sequence
+    for name, steps, overlaps in doc.paths:
+        if len(steps) > 1 and (overlaps is None or overlaps.count(k) != len(overlaps)):
+            raise FormatError(f"path {name!r} must declare an overlap of {k}M at every join")
     return graph

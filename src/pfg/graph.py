@@ -69,8 +69,7 @@ class Pangenome:
 
 @dataclass(frozen=True)
 class Segment:
-    id: int
-    content: str
+    content: str  # its id is its index in the graph's segment list
 
 
 @dataclass
@@ -134,7 +133,7 @@ def normalize(segments, paths, k, names=None) -> PrefixFreeGraph:
         raise StructureError("duplicate segment content under distinct discovery ids")
     order = sorted(segments, key=lambda i: segments[i])
     rank = {old: new for new, old in enumerate(order)}
-    new_segments = [Segment(new, segments[old]) for new, old in enumerate(order)]
+    new_segments = [Segment(segments[old]) for old in order]
     if names is None:
         names = [f"path_{j}" for j in range(len(paths))]
     new_paths = []

@@ -13,22 +13,8 @@ from .suffixes import build_suffix_table
 
 
 @dataclass
-class Issue:
-    severity: str  # "error" or "warning"
-    message: str
-
-
-@dataclass
 class ValidationReport:
-    issues: list[Issue] = field(default_factory=list)
-
-    @property
-    def errors(self) -> list[Issue]:
-        return [i for i in self.issues if i.severity == "error"]
-
-    @property
-    def warnings(self) -> list[Issue]:
-        return [i for i in self.issues if i.severity == "warning"]
+    errors: list[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -36,10 +22,9 @@ class ValidationReport:
 
 
 def _structural_report(graph: PrefixFreeGraph) -> ValidationReport:
-    """Every check but prefix-freeness; diagnostics are the return value."""
+    """Every check but prefix-freeness; the error messages are the return value."""
     report = ValidationReport()
-    err = lambda m: report.issues.append(Issue("error", m))
-    warn = lambda m: report.issues.append(Issue("warning", m))
+    err = report.errors.append
     k = graph.k
     segs = graph.segments
     n = len(segs)
@@ -50,14 +35,10 @@ def _structural_report(graph: PrefixFreeGraph) -> ValidationReport:
     heads, tails, padded, end_padded = [], [], [], []
     for i, seg in enumerate(segs):
         content = seg.content
-        if seg.id != i:
-            err(f"segment at index {i} has id {seg.id}")
         if len(content) < k:
             err(f"segment {i} shorter than k")
         if i and segs[i - 1].content >= content:
             err(f"segments {i - 1} and {i} not in strict lexicographic order")
-        if len(content) == k:
-            warn(f"segment {i} has degenerate length k")
         dot = content.find(PAD)
         if dot != -1:
             run = content[dot:]
@@ -115,5 +96,5 @@ def validate(graph: PrefixFreeGraph) -> ValidationReport:
     try:
         mark_blocks(build_suffix_table(graph), graph.lengths, graph.k)
     except StructureError as exc:
-        report.issues.append(Issue("error", str(exc)))
+        report.errors.append(str(exc))
     return report

@@ -8,7 +8,7 @@ import importlib
 
 import pytest
 
-from pfg import Pangenome, TriggerSet, build_graph, build_segment_table, build_suffix_table, stream
+from pfg import Pangenome, TriggerSet, build_graph, build_segment_table, build_suffix_table, stream, validate
 
 LOOKED_UP = [
     ("pfg.automaton", "compile_triggers"),
@@ -59,6 +59,11 @@ def test_graph_exposes_contents_and_paths():
     graph = build_graph(Pangenome(sequences=[("a", "ACTAGT")]), TriggerSet.from_words(["TAG"]))
     assert all(isinstance(graph.segments[i].content, str) for i in range(len(graph.segments)))
     assert [(name, type(path)) for name, path in graph.paths] == [("a", list)]
+
+
+def test_validate_report_has_ok(graph):
+    # the traced run stops with an error unless validate(graph).ok is True
+    assert validate(graph).ok is True
 
 
 def test_helpers_take_what_the_benchmark_passes(graph):

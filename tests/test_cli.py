@@ -11,6 +11,8 @@ import pytest
 
 from pfg import (
     Pangenome,
+    PrefixFreeGraph,
+    Segment,
     TriggerSet,
     build_graph,
     build_segment_table,
@@ -137,6 +139,15 @@ class TestFasta2Pfg:
         second = run(fasta2pfg_main, ["-t", trigger_file], FASTA)
         assert first == second
 
+    def test_invalid_graph_fails_with_one_line(self, trigger_file, monkeypatch):
+        # unsorted segments and a path that neither overlaps nor ends with pads
+        graph = PrefixFreeGraph(k=2, segments=[Segment("CA"), Segment("AC")], paths=[("p", [0, 1])])
+        monkeypatch.setattr(CLI_MODULE, "build_graph", lambda pangenome, triggers: graph)
+        status, out, err = run(fasta2pfg_main, ["-t", trigger_file], FASTA)
+        assert (status, out) == (1, "")
+        assert err.startswith("fasta2pfg: ") and err.count("\n") == 1
+        assert "not in strict lexicographic order" in err and "does not end with 2 pad characters" in err
+
 
 class TestGfa2Pfg:
     def test_fixed_point(self, trigger_file, running_gfa):
@@ -149,6 +160,15 @@ class TestGfa2Pfg:
         status, out, _ = run(gfa2pfg_main, ["-t", trigger_file], gfa)
         assert status == 0
         assert sum(l.startswith("S") for l in out.splitlines()) == 4
+
+    def test_overlap_longer_than_a_segment_fails(self, trigger_file):
+        gfa = "S\ta\tACG\nS\tb\tACG\nP\tp\ta+,b+\t10M\n"
+        status, out, err = run(gfa2pfg_main, ["-t", trigger_file], gfa)
+        assert (status, out) == (1, "")
+        assert err == "gfa2pfg: path 'p' step 1: declared overlap 10 is longer than a segment it joins\n"
+        status, out, err = run(gfa2pfg_main, ["-t", trigger_file], gfa.replace("10M", "3M"))
+        assert (status, err) == (0, "")
+        assert [l for l in out.splitlines() if l.startswith("P")] == ["P\tp\t0+,1+\t2M"]
 
     def test_reverse_orientation_fails(self, trigger_file):
         gfa = "S\ta\tCACG\nP\ts1\ta-\t*\n"
@@ -176,11 +196,14 @@ class TestPfg2Sa:
         assert status == 0
         assert "verified" in err
 
-    def test_verify_detects_corruption(self, running_gfa):
-        # swap two path steps so the GFA no longer matches its own joins
+    def test_verify_rejects_a_structurally_broken_gfa(self, running_gfa):
+        # the padded segment 2 mid-path fails the structural checks before
+        # the oracle is consulted
         corrupted = running_gfa.replace("3+,0+,2+", "3+,2+,0+")
-        status, _, err = run(pfg2sa_main, ["--verify"], corrupted)
-        assert status == 1
+        status, out, err = run(pfg2sa_main, ["--verify"], corrupted)
+        assert (status, out) == (1, "")
+        assert err.startswith("pfg2sa: GFA does not encode a valid prefix-free graph: ")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("argv", [[], ["--bwt"]], ids=["plain", "bwt"])
     def test_verify_keeps_the_output(self, running_gfa, argv):
@@ -262,6 +285,14 @@ class TestPfg2Sa:
         status, _, err = run(pfg2sa_main, [], gfa)
         assert status == 1
         assert "TL" in err
+
+    @pytest.mark.parametrize("old, new", [("\t2M,2M\n", "\t0M,0M\n"), ("\t2M,2M\n", "\t*\n")], ids=["0M", "star"])
+    def test_path_overlaps_must_be_k(self, running_gfa, old, new):
+        # gfa2pfg expands a path by its declared overlaps, so pfg2sa must
+        # not read the same path as overlapping by k
+        gfa = running_gfa.replace(old, new)
+        assert gfa != running_gfa
+        assert run(pfg2sa_main, [], gfa) == (1, "", "pfg2sa: path 's2' must declare an overlap of 2M at every join\n")
 
     @pytest.mark.parametrize("first, second", [("0", "0_1"), ("00", "1")])
     def test_segment_names_must_be_plain_ids(self, first, second):
