@@ -156,7 +156,8 @@ def _step_names(field: str, segments: dict[str, str], lineno: int) -> list[str]:
 def _parse_overlap(token: str, lineno: int) -> int:
     if token == "*":
         return 0
-    if not token.endswith("M") or not token[:-1].isdigit():
+    # ASCII digits only: isdigit() also takes "²" and "٣"
+    if not token.endswith("M") or not (token[:-1].isascii() and token[:-1].isdigit()):
         raise FormatError(f"unsupported overlap {token!r}", line=lineno)
     return int(token[:-1])
 

@@ -137,11 +137,11 @@ def normalize(segments, paths, k, names=None) -> PrefixFreeGraph:
     if names is None:
         names = [f"path_{j}" for j in range(len(paths))]
     new_paths = []
-    for name, path in zip(names, paths):
-        for old in path:
-            if old not in rank:
-                raise StructureError(f"path {name!r} references unknown segment {old}")
-        new_paths.append((name, [rank[old] for old in path]))
+    for name, path in zip(names, paths, strict=True):
+        try:
+            new_paths.append((name, [rank[old] for old in path]))
+        except KeyError as exc:
+            raise StructureError(f"path {name!r} references unknown segment {exc.args[0]}") from None
     return PrefixFreeGraph(k=k, segments=new_segments, paths=new_paths)
 
 

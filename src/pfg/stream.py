@@ -1,11 +1,11 @@
 """Streaming the pangenome suffix array from the suffix and segment tables.
 
-One vectorized pass over the suffix table, made before anything is
-yielded, keeps the rows that have a pangenome counterpart, groups them into
-blocks of equal segment suffixes, and checks prefix-freeness and the
-emission count.  Emission then runs in batches of whole blocks: each batch
-expands its rows' occurrences and orders them by (block, right-context
-rank).  Memory stays proportional to the two tables plus one batch; the
+Before anything is yielded, the graph's prefix-freeness is checked
+(``validation.check_prefix_free``), and one vectorized pass over the
+suffix table keeps the rows that have a pangenome counterpart, groups them
+into blocks of equal segment suffixes, and checks the emission count.
+Emission then runs in batches of whole blocks: each batch expands its
+rows' occurrences and orders them by (block, right-context rank).  Memory stays proportional to the two tables plus one batch; the
 pangenome text is never materialized.
 """
 
@@ -20,6 +20,7 @@ from .errors import StructureError
 from .graph import PrefixFreeGraph
 from .occurrences import SegmentTable
 from .suffixes import SuffixTable
+from .validation import check_prefix_free
 
 # Most emissions in one batch.  A block wider than this is a batch of its
 # own.  A batch's columns and its formatted bytes are live at once, so a
@@ -52,9 +53,8 @@ def mark_blocks(suffix_table: SuffixTable, lengths: np.ndarray, k: int) -> tuple
     A row is kept when it lies in a segment (not the sentinel) and its
     segment suffix is longer than k.  A kept row joins the previous row's
     block when that row is kept too and the LCP reaches that row's suffix
-    length.  Such rows must have equal suffix lengths; otherwise one
-    segment suffix is a proper prefix of another and StructureError is
-    raised.
+    length.  On a prefix-free graph (``check_prefix_free``) such rows hold
+    equal segment suffixes.
     """
     seg_id = suffix_table.seg_id
     pos = suffix_table.pos
@@ -65,14 +65,6 @@ def mark_blocks(suffix_table: SuffixTable, lengths: np.ndarray, k: int) -> tuple
     joins = np.zeros(len(kept), dtype=bool)
     np.greater_equal(suffix_table.lcp[1:], suffix_len[:-1], out=joins[1:])
     joins[1:] &= kept[:-1]
-    bad = np.flatnonzero(joins[1:] & (suffix_len[1:] != suffix_len[:-1]))
-    if bad.size:
-        i = int(bad[0]) + 1
-        raise StructureError(
-            f"segment suffixes are not prefix-free: the suffix of segment {seg_id[i - 1]} "
-            f"at offset {pos[i - 1]} is a proper prefix of the suffix of segment "
-            f"{seg_id[i]} at offset {pos[i]}"
-        )
     # a kept row that does not join the previous row's block starts one
     np.logical_not(joins, out=joins)
     joins &= kept
@@ -87,6 +79,7 @@ def emission_batches(
 ) -> Iterator[Batch]:
     """Yield the emissions in order, in batches cut at block starts."""
     k = graph.k
+    check_prefix_free(graph)
     kept, block_start = mark_blocks(suffix_table, segment_table.lengths, k)
     rows = np.flatnonzero(kept).astype(suffix_table.pos.dtype)
     del kept

@@ -1,4 +1,9 @@
-"""Validation of prefix-free graphs: structural invariants and prefix-freeness."""
+"""Validation of prefix-free graphs: structural invariants and prefix-freeness.
+
+Prefix-freeness is defined once, by :func:`check_prefix_free`, which the
+builders' ``validate`` and the stream both call.  It scans the segment
+join for the segments' last k + 1 letters; no suffix is sorted.
+"""
 
 from __future__ import annotations
 
@@ -6,10 +11,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .automaton import TriggerSet, compile_triggers
 from .errors import StructureError
-from .graph import PAD, PrefixFreeGraph
-from .stream import mark_blocks
-from .suffixes import build_suffix_table
+from .graph import PAD, SEPARATOR, PrefixFreeGraph
 
 
 @dataclass
@@ -89,12 +93,45 @@ def _structural_report(graph: PrefixFreeGraph) -> ValidationReport:
     return report
 
 
+def check_prefix_free(graph: PrefixFreeGraph) -> None:
+    """Raise StructureError if a segment suffix longer than k is a proper
+    prefix of another segment suffix.
+
+    If S is, its last k + 1 letters, which are also the last k + 1 of its
+    own segment, occur in the other segment at a window that does not end
+    it; and any such occurrence makes those k + 1 letters a proper prefix.
+    So one scan of the join's (k + 1)-windows for the segments' last k + 1
+    letters finds every violation, and its first hit that does not end a
+    segment is the shortest violation, first in join order.
+    """
+    k = graph.k
+    # each (k + 1)-letter segment tail, and the first segment ending with it
+    owner: dict[str, int] = {}
+    for i, seg in enumerate(graph.segments):
+        if len(seg.content) > k:
+            owner.setdefault(seg.content[-k - 1 :], i)
+    text = graph.join.text
+    # the tails may end in pads, which TriggerSet.from_words rejects
+    ends = compile_triggers(TriggerSet(words=tuple(owner), k=k + 1)).match_ends(text.decode("ascii"))
+    # a segment's last window is followed by its separator
+    inner = ends[np.frombuffer(text, dtype=np.uint8)[ends + 1] != ord(SEPARATOR)]
+    if inner.size:
+        end = int(inner[0])
+        a = owner[text[end - k : end + 1].decode("ascii")]
+        b = int(np.searchsorted(graph.join.boundaries, end, side="right")) - 1
+        raise StructureError(
+            f"segment suffixes are not prefix-free: the suffix of segment {a} "
+            f"at offset {graph.lengths[a] - k - 1} is a proper prefix of the suffix of segment "
+            f"{b} at offset {end - k - graph.join.boundaries[b]}"
+        )
+
+
 def validate(graph: PrefixFreeGraph) -> ValidationReport:
-    """Check the structural invariants, and prefix-freeness by the stream's
-    own check on the suffix table, which reports the first violation only."""
+    """Check the structural invariants, and prefix-freeness, of which only
+    the first violation is reported."""
     report = _structural_report(graph)
     try:
-        mark_blocks(build_suffix_table(graph), graph.lengths, graph.k)
+        check_prefix_free(graph)
     except StructureError as exc:
         report.errors.append(str(exc))
     return report

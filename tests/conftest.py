@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from pfg import Pangenome, TriggerSet, build_graph
+from pfg import PAD, Pangenome, PrefixFreeGraph, Segment, TriggerSet, build_graph
 
 RUNNING_SEQUENCES = [("s1", "CACGTACT"), ("s2", "CACACT"), ("s3", "CACGACT")]
 RUNNING_TRIGGERS = ["AC", "CG"]
@@ -90,3 +90,31 @@ def random_instance(rng: random.Random):
         length = rng.randint(10, 2000)
         sequences.append((f"seq{j}", "".join(rng.choices("ACGT", k=length))))
     return Pangenome(sequences=sequences), TriggerSet.from_words(words)
+
+
+def random_dictionary(rng: random.Random, k: int) -> PrefixFreeGraph:
+    """A graph over a random sorted dictionary of distinct segments, each at
+    least k long and some ending with k pads; each segment is one path."""
+    alphabet = rng.choice(["A", "AC", "ACG", "ACGT"])
+    contents = set()
+    for _ in range(rng.randint(1, 8)):
+        if rng.random() < 0.3:
+            contents.add("".join(rng.choices(alphabet, k=rng.randint(1, 6))) + PAD * k)
+        else:
+            contents.add("".join(rng.choices(alphabet, k=rng.randint(k, k + 6))))
+    contents = sorted(contents)
+    paths = [(f"p{i}", [i]) for i in range(len(contents))]
+    return PrefixFreeGraph(k=k, segments=[Segment(c) for c in contents], paths=paths)
+
+
+def proper_prefixes(graph: PrefixFreeGraph) -> list[tuple[int, int, int, int]]:
+    """Brute force: every (a, offset a, b, offset b) where the suffix of
+    segment a, longer than k, is a proper prefix of the suffix of segment b."""
+    suffixes = [(i, p, seg.content[p:]) for i, seg in enumerate(graph.segments) for p in range(len(seg.content))]
+    return [
+        (a, p, b, q)
+        for a, p, s in suffixes
+        if len(s) > graph.k
+        for b, q, t in suffixes
+        if len(t) > len(s) and t.startswith(s)
+    ]

@@ -29,6 +29,7 @@ FASTA = ">s1\nCACGTACT\n>s2\nCACACT\n>s3\nCACGACT\n"
 # the package exports the function ``stream`` under the module's name
 STREAM_MODULE = importlib.import_module("pfg.stream")
 CLI_MODULE = importlib.import_module("pfg.cli")
+SORTING_MODULES = [importlib.import_module("pfg.suffixes"), importlib.import_module("pfg.occurrences")]
 SRC = Path(__file__).resolve().parent.parent / "src"
 MAINS = {"fasta2pfg": fasta2pfg_main, "gfa2pfg": gfa2pfg_main, "pfg2sa": pfg2sa_main}
 # a byte that UTF-8 never uses, in the sequence and in a line of its own
@@ -175,6 +176,24 @@ class TestGfa2Pfg:
         status, _, err = run(gfa2pfg_main, ["-t", trigger_file], gfa)
         assert status == 1
         assert "unsupported" in err
+
+
+class TestBuilders:
+    @pytest.mark.parametrize("tool", ["fasta2pfg", "gfa2pfg"])
+    def test_sort_no_suffixes(self, tool, trigger_file, running_gfa, wide_gfa, monkeypatch):
+        inputs = [FASTA] if tool == "fasta2pfg" else [running_gfa, wide_gfa]
+        expected = [run(MAINS[tool], ["-t", trigger_file], text) for text in inputs]
+        assert expected[0] == (0, running_gfa, "")
+
+        def refuse(symbols):
+            raise AssertionError("a suffix sort ran")
+
+        for module in SORTING_MODULES:
+            monkeypatch.setattr(module, "_prefix_doubling", refuse)
+        assert [run(MAINS[tool], ["-t", trigger_file], text) for text in inputs] == expected
+        # the patch does reach the sort that pfg2sa needs
+        with pytest.raises(AssertionError, match="a suffix sort ran"):
+            run(pfg2sa_main, [], running_gfa)
 
 
 class TestPfg2Sa:
@@ -330,6 +349,21 @@ class TestRecordOrder:
     def test_unknown_step_names_the_path_line(self, running_gfa):
         gfa = "P\tx\t3+,9+\t2M\n" + running_gfa
         assert run(pfg2sa_main, [], gfa) == (1, "", "pfg2sa: line 1: path step references unknown segment '9'\n")
+
+
+class TestOverlapTokens:
+    """An overlap is ASCII digits then M; str.isdigit() also takes "²" and "٣"."""
+
+    @pytest.mark.parametrize("tool", ["gfa2pfg", "pfg2sa"])
+    @pytest.mark.parametrize("token", ["\u00b2M", "\u0663M"], ids=["superscript-two", "arabic-indic-three"])
+    @pytest.mark.parametrize(
+        "old, line", [("L\t0\t+\t2\t+\t2M\n", 8), ("P\ts2\t3+,0+,2+\t2M,2M\n", 16)], ids=["L", "P"]
+    )
+    def test_non_ascii_digits_fail_with_one_line(self, tool, token, old, line, trigger_file, running_gfa):
+        assert running_gfa.splitlines(True)[line - 1] == old
+        gfa = running_gfa.replace(old, old[: old.rindex("2M")] + token + "\n")
+        argv = ["-t", trigger_file] if tool == "gfa2pfg" else []
+        assert run(MAINS[tool], argv, gfa) == (1, "", f"{tool}: line {line}: unsupported overlap {token!r}\n")
 
 
 class ClosedPipe(io.StringIO):

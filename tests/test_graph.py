@@ -1,3 +1,5 @@
+import random
+import re
 import tracemalloc
 
 import pytest
@@ -9,11 +11,19 @@ from pfg import (
     StructureError,
     TriggerSet,
     build_graph,
+    build_suffix_table,
     normalize,
     reconstruct,
     validate,
 )
-from pfg.validation import _structural_report
+from pfg.validation import _structural_report, check_prefix_free
+
+from conftest import proper_prefixes, random_dictionary
+
+VIOLATION = re.compile(
+    r"segment suffixes are not prefix-free: the suffix of segment (\d+) at offset (\d+) "
+    r"is a proper prefix of the suffix of segment (\d+) at offset (\d+)"
+)
 
 DISCOVERY = {0: "CAC", 1: "ACG", 2: "CGTAC", 3: "ACT..", 4: "ACAC", 5: "CGAC"}
 DISCOVERY_PATHS = [[0, 1, 2, 3], [0, 4, 3], [0, 1, 5, 3]]
@@ -37,8 +47,19 @@ class TestNormalize:
         assert g.paths[0][1] == [0]
 
     def test_duplicate_content_rejected(self):
-        with pytest.raises(StructureError):
+        with pytest.raises(StructureError, match="^duplicate segment content under distinct discovery ids$"):
             normalize({0: "CAC", 1: "CAC"}, [[0, 1]], k=2)
+
+    def test_unknown_id_names_its_path(self):
+        with pytest.raises(StructureError, match="^path 'b' references unknown segment 7$"):
+            normalize(DISCOVERY, [[0, 1, 2, 3], [0, 7, 3]], k=2, names=["a", "b"])
+        with pytest.raises(StructureError, match="^path 'path_3' references unknown segment -1$"):
+            normalize(DISCOVERY, [*DISCOVERY_PATHS, [-1]], k=2)
+
+    @pytest.mark.parametrize("names", [["a", "b"], ["a", "b", "c", "d"]], ids=["fewer", "more"])
+    def test_names_and_paths_of_different_lengths_rejected(self, names):
+        with pytest.raises(ValueError):
+            normalize(DISCOVERY, DISCOVERY_PATHS, k=2, names=names)
 
     def test_idempotent(self):
         g = normalize(DISCOVERY, DISCOVERY_PATHS, k=2)
@@ -51,17 +72,16 @@ class TestNormalize:
         assert [p for _, p in again.paths] == [p for _, p in g.paths]
 
 
-def validate_peak(sequence):
-    """tracemalloc peak of validate on one trigger-free sequence, in bytes."""
+def peak(function, sequence):
+    """tracemalloc peak of ``function`` on the graph of one trigger-free
+    sequence, in bytes, and its result."""
     g = build_graph(Pangenome([("a", sequence)]), TriggerSet.from_words(["TAG"]))
     tracemalloc.start()
     try:
-        report = validate(g)
-        peak = tracemalloc.get_traced_memory()[1]
+        result = function(g)
+        return tracemalloc.get_traced_memory()[1], result
     finally:
         tracemalloc.stop()
-    assert report.ok
-    return peak
 
 
 class TestValidate:
@@ -98,12 +118,59 @@ class TestValidate:
         assert "not prefix-free" in report.errors[0]
 
     def test_long_trigger_free_sequence_memory(self):
-        # one segment of 100 kb: a sort of its suffixes as strings needs GBs
-        assert validate_peak("ACG" * 33334) < 32 << 20
+        # one segment of 100 kb: no suffix is sorted, and the window scan
+        # runs in fixed-size chunks (0.9 MB)
+        used, report = peak(validate, "ACG" * 33334)
+        assert report.ok
+        assert used < 8 << 20
 
     def test_periodic_megabase_memory_does_not_grow_with_rounds(self):
         # about 20 doubling rounds; a rank array kept per round took 139 MB
-        assert validate_peak("ACG" * 333334) < 96 << 20
+        used, table = peak(build_suffix_table, "ACG" * 333334)
+        assert len(table) == 1_000_007
+        assert used < 96 << 20
+
+
+class TestCheckPrefixFree:
+    # k + 1 <= 8 letters pack exactly into the scan's hash; past that each
+    # hit is confirmed against the words
+    @pytest.mark.parametrize("k", range(1, 10))
+    def test_agrees_with_brute_force(self, k):
+        rng = random.Random(7000 + k)
+        outcomes = set()
+        for _ in range(300):
+            g = random_dictionary(rng, k)
+            pairs = proper_prefixes(g)
+            try:
+                check_prefix_free(g)
+                reported = None
+            except StructureError as exc:
+                match = VIOLATION.fullmatch(str(exc))
+                assert match, str(exc)
+                reported = tuple(map(int, match.groups()))
+            outcomes.add(reported is None)
+            if not pairs:
+                assert reported is None
+                continue
+            # the shortest violations are k + 1 letters long; the one reported
+            # has its longer suffix first in join order, and the first
+            # segment that ends with those letters
+            shortest = [(b, q, a, p) for a, p, b, q in pairs if len(g.segments[a].content) - p == k + 1]
+            b, q, a, p = min(shortest)
+            assert reported == (a, p, b, q)
+        assert outcomes == {True, False}
+
+    def test_suffix_of_own_segment(self):
+        # "AAA" ends "AAAA" and starts its suffix at offset 0, k = 2
+        g = normalize({0: "AAAA"}, [[0]], k=2)
+        with pytest.raises(StructureError, match="segment 0 at offset 1 is a proper prefix of the suffix of segment 0 at offset 0$"):
+            check_prefix_free(g)
+
+    def test_suffixes_of_k_letters_are_not_checked(self):
+        # "AC" is a prefix of "ACG..", but no suffix of k letters is kept
+        check_prefix_free(normalize({0: "AC", 1: "ACG.."}, [[0, 1]], k=2))
+        check_prefix_free(normalize({0: "ACGTACGT"}, [[0]], k=9))
+        check_prefix_free(normalize({}, [], k=3))
 
 
 def errors(graph):

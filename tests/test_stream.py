@@ -18,11 +18,12 @@ from pfg import (
     build_suffix_table,
     normalize,
     stream,
+    validate,
 )
 from pfg.oracle import oracle_bwt, oracle_sa, oracle_text
 from pfg.stream import emission_batches, mark_blocks
 
-from conftest import FULL_SA, random_instance
+from conftest import FULL_SA, proper_prefixes, random_dictionary, random_instance
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 # the package exports the function ``stream`` under the module's name
@@ -114,6 +115,27 @@ class TestChecks:
         emissions = stream(graph, short, seg)
         with pytest.raises(StructureError, match="20 emissions, expected 21"):
             next(emissions)
+
+
+    @pytest.mark.parametrize("k", range(1, 10))
+    def test_validate_and_stream_agree(self, k):
+        rng = random.Random(8000 + k)
+        for _ in range(150):
+            g = random_dictionary(rng, k)
+            suffix_table = build_suffix_table(g)
+            try:
+                batches = list(emission_batches(g, suffix_table, build_segment_table(g)))
+                streamed = []
+            except StructureError as exc:
+                batches, streamed = None, [str(exc)]
+            assert [e for e in validate(g).errors if "not prefix-free" in e] == streamed
+            assert bool(streamed) == bool(proper_prefixes(g))
+            if batches is not None:
+                # the blocks the stream merges hold equal segment suffixes
+                kept, block_start = mark_blocks(suffix_table, g.lengths, k)
+                suffix_len = g.lengths[suffix_table.seg_id[kept]] - suffix_table.pos[kept]
+                block = np.cumsum(block_start[kept])
+                assert (suffix_len[1:] == suffix_len[:-1])[block[1:] == block[:-1]].all()
 
 
 class TestEmissions:
