@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
+from itertools import chain, islice
 
 import numpy as np
 
@@ -36,25 +37,34 @@ class GfaDocument:
         return k
 
 
+# Lines per write before the P-lines: on an unbuffered sink each write is a
+# syscall, and one write of everything would raise the peak memory.
+LINES_PER_WRITE = 512
+
+
 def write_gfa(graph: PrefixFreeGraph, sink) -> None:
     """Deterministic GFA 1.0 output: header, S by id, L sorted, P in order."""
     k = graph.k
-    sink.write(f"H\tVN:Z:1.0\tTL:i:{k}\n")
-    for i, seg in enumerate(graph.segments):
-        sink.write(f"S\t{i}\t{seg.content}\n")
     # Key a * n + b for each step pair (a, b), sorted and deduplicated by
     # hand (np.unique imports numpy.ma on its first call).  A path's last
     # step pairs with nothing; its key -1 sorts first and goes with the
     # repeats.
     n = len(graph.segments)
     steps = graph.steps
-    keys = steps * n
+    keys = steps.astype(np.int64)
+    keys *= n
     keys[:-1] += steps[1:]
     keys[graph.path_offsets[1:] - 1] = -1
     keys.sort()
     pairs = keys[1:][keys[1:] != keys[:-1]]
-    for a, b in zip((pairs // n).tolist(), (pairs % n).tolist()):
-        sink.write(f"L\t{a}\t+\t{b}\t+\t{k}M\n")
+    del keys
+    lines = chain(
+        [f"H\tVN:Z:1.0\tTL:i:{k}\n"],
+        (f"S\t{i}\t{seg.content}\n" for i, seg in enumerate(graph.segments)),
+        (f"L\t{a}\t+\t{b}\t+\t{k}M\n" for a, b in zip((pairs // n).tolist(), (pairs % n).tolist())),
+    )
+    while chunk := "".join(islice(lines, LINES_PER_WRITE)):
+        sink.write(chunk)
     for name, path in graph.paths:
         overlaps = ",".join([f"{k}M"] * (len(path) - 1)) or "*"
         sink.write(f"P\t{name}\t{'+,'.join(map(str, path))}+\t{overlaps}\n")

@@ -99,7 +99,7 @@ class PrefixFreeGraph:
     paths: list[tuple[str, list[int]]]
     lengths: np.ndarray = field(init=False, repr=False, compare=False)  # int64 segment lengths, pads included
     join: SegmentJoin = field(init=False, repr=False, compare=False)
-    steps: np.ndarray = field(init=False, repr=False, compare=False)  # int64 segment id of every path step, in path order
+    steps: np.ndarray = field(init=False, repr=False, compare=False)  # int32 segment id of every path step, in path order
     # int64, one more than the path count: path j's steps are
     # steps[path_offsets[j]:path_offsets[j + 1]]
     path_offsets: np.ndarray = field(init=False, repr=False, compare=False)
@@ -114,7 +114,7 @@ class PrefixFreeGraph:
         counts = np.fromiter((len(path) for _, path in self.paths), dtype=np.int64, count=len(self.paths))
         self.path_offsets = _read_only(np.append(0, np.cumsum(counts)))
         self.steps = _read_only(
-            np.fromiter(chain.from_iterable(path for _, path in self.paths), dtype=np.int64, count=int(counts.sum()))
+            np.fromiter(chain.from_iterable(path for _, path in self.paths), dtype=np.int32, count=int(counts.sum()))
         )
 
     def content(self, seg_id: int) -> str:

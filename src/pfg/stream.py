@@ -2,11 +2,13 @@
 
 Before anything is yielded, the graph's prefix-freeness is checked
 (``validation.check_prefix_free``), and one vectorized pass over the
-suffix table keeps the rows that have a pangenome counterpart, groups them
-into blocks of equal segment suffixes, and checks the emission count.
-Emission then runs in batches of whole blocks: each batch expands its
-rows' occurrences and orders them by (block, right-context rank).  Memory stays proportional to the two tables plus one batch; the
-pangenome text is never materialized.
+suffix table keeps the rows that have a pangenome counterpart, takes its
+blocks of equal segment suffixes from the table's block starts, and checks
+the emission count.  Emission then runs in batches of whole blocks: each
+batch expands its rows' occurrences and orders them by (block,
+right-context rank), so the order of rows inside a block does not matter.
+Memory stays proportional to the two tables plus one batch; the pangenome
+text is never materialized.
 """
 
 from __future__ import annotations
@@ -51,10 +53,9 @@ def mark_blocks(suffix_table: SuffixTable, lengths: np.ndarray, k: int) -> tuple
     """Boolean masks over the suffix table rows: kept rows, and block starts.
 
     A row is kept when it lies in a segment (not the sentinel) and its
-    segment suffix is longer than k.  A kept row joins the previous row's
-    block when that row is kept too and the LCP reaches that row's suffix
-    length.  On a prefix-free graph (``check_prefix_free``) such rows hold
-    equal segment suffixes.
+    segment suffix is longer than k.  A block is a run of rows whose
+    suffixes agree up to their separator, that is, of equal segment
+    suffixes; every row of a run is kept or none is.
     """
     seg_id = suffix_table.seg_id
     pos = suffix_table.pos
@@ -62,13 +63,7 @@ def mark_blocks(suffix_table: SuffixTable, lengths: np.ndarray, k: int) -> tuple
     suffix_len = np.append(lengths, 0).astype(pos.dtype)[np.minimum(seg_id, len(lengths))]
     suffix_len -= pos
     kept = (seg_id < len(lengths)) & (suffix_len > k)
-    joins = np.zeros(len(kept), dtype=bool)
-    np.greater_equal(suffix_table.lcp[1:], suffix_len[:-1], out=joins[1:])
-    joins[1:] &= kept[:-1]
-    # a kept row that does not join the previous row's block starts one
-    np.logical_not(joins, out=joins)
-    joins &= kept
-    return kept, joins
+    return kept, suffix_table.head & kept
 
 
 def emission_batches(

@@ -1,4 +1,6 @@
-"""Suffix, LCP, ID and position arrays over the graph's segment join (the suffix table)."""
+"""The suffix table: the segment join's suffixes sorted up to and including
+each one's separator, with their segment ids, offsets and block starts; and
+a text's full suffix array and its LCP."""
 
 from __future__ import annotations
 
@@ -6,20 +8,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import PrefixFreeGraph, SegmentJoin, char_rank
+from .graph import SENTINEL, SEPARATOR, PrefixFreeGraph, SegmentJoin, char_rank
 
 _RANK_LUT = np.array([char_rank(chr(b)) for b in range(256)], dtype=np.uint16)
 
 
 @dataclass
 class SuffixTable:
-    """Parallel columns over the segment join, in sorted-suffix order: int32,
-    or int64 for a join of 2**31 symbols or more."""
+    """Parallel columns over the segment join's suffixes, sorted up to each
+    one's separator: int32, or int64 for a join of 2**31 symbols or more.
+    A block's rows come in no particular order."""
 
     sa: np.ndarray
-    lcp: np.ndarray
     seg_id: np.ndarray
     pos: np.ndarray
+    head: np.ndarray  # bool, each block's first row
 
     def __len__(self) -> int:
         return len(self.sa)
@@ -60,119 +63,82 @@ def _packed_keys(symbols: np.ndarray) -> tuple[np.ndarray, int, int]:
     return keys, bits, width
 
 
-def _groups(head: np.ndarray, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's group's first position, and which rows share their group."""
-    starts = np.where(head, positions, 0)
-    np.maximum.accumulate(starts, out=starts)
-    return starts, ~(head & np.append(head[1:], True))
+def _prefix_doubling(symbols, reach: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Suffix array, ranks and group heads of an integer sequence.
 
+    Without ``reach`` the suffixes are sorted in full, every group is one
+    row and the ranks are the inverse suffix array.  With it, suffix ``i``
+    is compared on its first ``reach[i]`` symbols only, up to and including
+    its separator; suffixes that agree that far form one group, its rows in
+    no particular order.  Only the sentinel sorts below the separator, so
+    the groups come in the order of the full suffix array.
 
-def _prefix_doubling(symbols) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[np.ndarray]]:
-    """Suffix array and inverse suffix array of an integer sequence, the
-    leading symbols that each row shares with the row above as far as the
-    first sort sees, and the groups of each level as bitmaps over the
-    suffix array rows.
+    ``head`` marks each group's first row, which is the rank of each of its
+    suffixes; the ranks have one more entry, -1, past the end.
 
-    The inverse suffix array has one more entry, -1 for the position past
-    the end.  The shared counts are ``uint8`` and stop at ``width``, which
-    the rows whose packed keys tie reach, and only they.
-
-    Level ``t``'s groups are the runs of rows whose suffixes share their first
-    ``2**t`` symbols; its bitmap (``np.packbits``) marks each group's first
-    row.  Groups are ranges of rows that later levels only reorder inside,
-    so every bitmap holds for the final suffix array.  No two adjacent rows
-    share a group of the level above the last, so the LCP stays below
-    ``2 ** len(levels)``.
-
-    One sort of the packed keys orders the suffixes by their first ``width``
-    symbols, and the highest bit in which adjacent sorted keys differ gives
-    the shared counts, and from them the levels below ``width``.
-    Prefix doubling then re-sorts, in each round, only the rows of groups
-    that still tie (Larsson and Sadakane).  A row's rank is the first row of
-    its group, so once every group is one row the ranks are the ISA.
+    One sort of packed keys, cut after each suffix's separator, orders the
+    suffixes by their first ``width`` symbols.  Each doubling round then
+    re-sorts only the groups that still tie short of their separators
+    (Larsson and Sadakane).
     """
     keys, bits, width = _packed_keys(np.asarray(symbols))
+    del symbols  # freed here when the caller passed a temporary
     n = keys.size
     index = _index_dtype(n)
+    if reach is not None:
+        # zero each key's symbols past its separator
+        cut = ((width - np.minimum(reach, width)) * bits).astype(np.uint8)
+        keys >>= cut
+        keys <<= cut
+        del cut
     sa = np.argsort(keys).astype(index)
-    keys.sort()
-    # where adjacent sorted keys differ; row 0 shares nothing
-    diff = np.empty_like(keys)
-    diff[0] = np.iinfo(diff.dtype).max
-    np.bitwise_xor(keys[1:], keys[:-1], out=diff[1:])
+    keys = keys[sa]
+    head = np.append(True, keys[1:] != keys[:-1])
     del keys
-    # the first s symbols agree where the top s * bits bits of diff are 0
-    shared = np.zeros(n, dtype=np.uint8)
-    for s in range(1, width + 1):
-        shared += diff < 1 << ((width - s) * bits)
-    del diff
-    levels = []
-    h = 1
-    while h < width:
-        levels.append(np.packbits(shared < h))
-        h *= 2
-    head = shared < width
     # rank[n] stands past the end, below every rank
     rank = np.empty(n + 1, dtype=index)
     rank[n] = -1
-    rank[sa], tie = _groups(head, np.arange(n, dtype=index))
-    tied = np.flatnonzero(tie).astype(index)  # rows of groups with more than one row
-    while tied.size:
-        levels.append(np.packbits(head))
-        rows = sa[tied]
-        key = rank[rows].astype(np.int64)
+    # the rows whose groups may still split, and their suffixes; np.take
+    # turns int32 indices into intp first, and then gathers about twice as
+    # fast as an int32 subscript does
+    tied, rows = np.arange(n, dtype=index), sa
+    group_head = head
+    h = width
+    while True:
+        # each row's rank is its group's first row
+        starts = np.where(group_head, tied, 0)
+        np.maximum.accumulate(starts, out=starts)
+        rank[rows] = starts
+        del starts
+        tie = ~(group_head & np.append(group_head[1:], True))
+        if reach is not None:
+            # a group whose members share their separator is final
+            tie &= np.take(reach, rows) > h
+        tied, rows = tied[tie], rows[tie]
+        if not tied.size:
+            break
+        # the rows arrive grouped by rank, so the key is ascending runs,
+        # which a stable sort merges; a tied suffix is longer than h, so
+        # rows + h <= n
+        rank_h = np.take(rank, rows + h)
+        key = np.take(rank, rows).astype(np.int64)
         key *= n + 1
-        # a tied suffix is at least h long, so rows + h <= n
-        key += rank[rows + h] + 1
-        order = np.argsort(key)
-        sa[tied] = rows = rows[order]
-        del order  # before the next round builds its key
-        key.sort()  # in place: key[order] would hold a second copy
-        group_head = np.empty(len(key), dtype=bool)
-        group_head[0] = True
-        np.not_equal(key[1:], key[:-1], out=group_head[1:])
+        key += rank_h
+        del rank_h
+        order = np.argsort(key, kind="stable")
         del key
+        rows = rows[order]
+        del order
+        sa[tied] = rows
+        # the sorted keys differ where the rank does, at the old group
+        # heads, or where the rank h on does
+        rank_h = np.take(rank, rows + h)
+        group_head = head[tied]
+        group_head[1:] |= rank_h[1:] != rank_h[:-1]
+        del rank_h
         head[tied] = group_head
-        rank[rows], tie = _groups(group_head, tied)
-        tied = tied[tie]
         h *= 2
-    return sa, rank, shared, levels
-
-
-def _lcp_from_levels(
-    sa: np.ndarray, isa: np.ndarray, shared: np.ndarray, levels: list[np.ndarray]
-) -> np.ndarray:
-    """LCP of adjacent suffix array rows from ``_prefix_doubling``'s output.
-
-    The shared count is the LCP of every row whose packed key differs from
-    the row above.  Only the rows of the largest count, which are the rows
-    whose keys tie if any do, are lifted: from the highest level down, level
-    ``t`` adds ``2**t`` where the two suffixes share their next ``2**t``
-    symbols too.  Lifting is exact for any row, so a row lifted without need
-    keeps its count.
-    """
-    n = len(sa)
-    lifted = shared == shared.max()
-    lifted[0] = False
-    # the two suffixes of each lifted row, moved on by what they share so far
-    a = sa[lifted]
-    b = sa[:-1][lifted[1:]]
-    # group number of each row, counted from 1; the past-the-end position
-    # has isa -1, which reads the trailing 0, in no group
-    group = np.zeros(n + 1, dtype=sa.dtype)
-    for t in reversed(range(len(levels))):
-        np.cumsum(np.unpackbits(levels[t], count=n), dtype=sa.dtype, out=group[:n])
-        # a shifted 0/1 column adds faster than np.add(..., where=)
-        step = (group[isa[a]] == group[isa[b]]).astype(sa.dtype)
-        step <<= t
-        a += step
-        b += step
-    del group, b
-    a -= sa[lifted]
-    lcp = shared.astype(sa.dtype)
-    lcp[lifted] = a
-    lcp[:1] = -1
-    return lcp
+    return sa, rank, head
 
 
 def _symbols(text: str | bytes) -> np.ndarray:
@@ -188,8 +154,30 @@ def suffix_array(text: str | bytes) -> np.ndarray:
 
 
 def lcp_array(text: str | bytes, sa: np.ndarray) -> np.ndarray:
-    """LCP of adjacent rows of ``sa``, the suffix array of ``text``; LCP[0] = -1."""
-    return _lcp_from_levels(np.asarray(sa), *_prefix_doubling(_symbols(text))[1:])
+    """LCP of adjacent rows of ``sa``, the suffix array of ``text``; LCP[0] = -1.
+
+    Kasai's scan: in text order, each suffix shares with the suffix in the
+    row above it at least as many symbols as the suffix before it did, less
+    one, so the scan compares O(n) symbols in all.  It fills the LCP in text
+    order and permutes it once at the end, which is faster than by row.
+    """
+    sa = np.asarray(sa)
+    above = np.empty(len(sa), dtype=np.int64)  # the suffix in the row above, -1 for row 0
+    above[sa] = np.append(-1, sa[:-1])
+    a = _symbols(text).tolist()
+    a, b = a + [-1], a + [-2]  # ends that match nothing
+    plcp = [-1] * len(sa)
+    h = 0
+    for i, j in enumerate(above.tolist()):
+        if j < 0:
+            h = 0
+            continue
+        while a[i + h] == b[j + h]:
+            h += 1
+        plcp[i] = h
+        if h:
+            h -= 1
+    return np.array(plcp, dtype=sa.dtype)[sa]
 
 
 def annotate(join: SegmentJoin, sa: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -209,10 +197,16 @@ def annotate(join: SegmentJoin, sa: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return seg_id_text[sa], pos_text[sa]
 
 
+def _reach(text: bytes) -> np.ndarray:
+    """Symbols from each position of a join up to and including the next separator or sentinel."""
+    codes = np.frombuffer(text, dtype=np.uint8)
+    ends = np.flatnonzero((codes == ord(SEPARATOR)) | (codes == ord(SENTINEL))).astype(_index_dtype(len(codes)))
+    return np.repeat(ends, np.diff(ends, prepend=-1)) - np.arange(-1, len(codes) - 1, dtype=ends.dtype)
+
+
 def build_suffix_table(graph: PrefixFreeGraph) -> SuffixTable:
     join = graph.join
-    sa, isa, shared, levels = _prefix_doubling(_symbols(join.text))
-    lcp = _lcp_from_levels(sa, isa, shared, levels)
-    del isa, shared, levels  # before annotate's columns
+    sa, rank, head = _prefix_doubling(_symbols(join.text), _reach(join.text))
+    del rank  # before annotate's columns
     seg_id, pos = annotate(join, sa)
-    return SuffixTable(sa=sa, lcp=lcp, seg_id=seg_id, pos=pos)
+    return SuffixTable(sa=sa, seg_id=seg_id, pos=pos, head=head)

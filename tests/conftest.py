@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from pfg import PAD, Pangenome, PrefixFreeGraph, Segment, TriggerSet, build_graph
@@ -51,6 +52,22 @@ SEGMENT_TABLE_ROWS = {
     4: (4, [(16, 7)]),
     5: (5, [(2, 8)]),
 }
+
+def separator_runs(text, sa, lcp) -> list[bool]:
+    """Run starts over a full suffix array of a join: a row starts a run
+    unless its suffix shares the row above's suffix up to and including the
+    separator ('#' or '$') that ends it."""
+    text = text.decode("ascii") if isinstance(text, bytes) else text
+    reach = [min(i for i in (text.find("#", p), text.find("$", p)) if i >= 0) - p + 1 for p in range(len(text))]
+    return [r == 0 or lcp[r] < reach[sa[r - 1]] for r in range(len(sa))]
+
+
+def runs(head, *columns) -> list[list[tuple]]:
+    """The rows of ``columns`` cut at ``head``, each run's rows sorted."""
+    cuts = [r for r, start in enumerate(head) if start] + [len(head)]
+    rows = list(zip(*(np.asarray(column).tolist() for column in columns)))
+    return [sorted(rows[a:b]) for a, b in zip(cuts, cuts[1:])]
+
 
 def occurrences(table, sid):
     """(start, rank, prev) of each occurrence of segment ``sid``, in rank order."""

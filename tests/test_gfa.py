@@ -1,3 +1,4 @@
+import importlib
 import io
 import random
 
@@ -13,6 +14,8 @@ from pfg import (
 )
 
 from conftest import random_instance
+
+GFA_MODULE = importlib.import_module("pfg.gfa")
 
 
 def roundtrip(graph):
@@ -60,6 +63,28 @@ class TestWriteGfa:
         write_gfa(graph, a)
         write_gfa(graph, b)
         assert a.getvalue() == b.getvalue()
+
+    def test_lines_before_the_paths_are_written_in_blocks(self, monkeypatch):
+        # one write per LINES_PER_WRITE H-, S- and L-lines, and one per P-line
+        graph = build_graph(*random_instance(random.Random(5)))
+        expected = io.StringIO()
+        write_gfa(graph, expected)
+        monkeypatch.setattr(GFA_MODULE, "LINES_PER_WRITE", 2)
+        writes = []
+
+        class Sink(io.StringIO):
+            def write(self, text):
+                writes.append(text)
+                return super().write(text)
+
+        sink = Sink()
+        write_gfa(graph, sink)
+        lines = sink.getvalue().splitlines(keepends=True)
+        n_p = sum(line.startswith("P") for line in lines)
+        assert len(lines) - n_p > 2 and n_p == len(graph.paths)
+        assert len(writes) == -(-(len(lines) - n_p) // 2) + n_p
+        assert all(w.count("\n") <= 2 for w in writes)
+        assert sink.getvalue() == expected.getvalue()
 
     def test_single_segment(self):
         from pfg import normalize

@@ -110,8 +110,9 @@ class TestChecks:
 
     def test_emission_count_mismatch_raises_before_first_row(self, graph, tables):
         table, seg = tables
-        # drop row 13 (segment 0, offset 0), which has one occurrence
-        short = SuffixTable(*(np.delete(column, 13) for column in (table.sa, table.lcp, table.seg_id, table.pos)))
+        # drop the row of segment 0, offset 0, which has one occurrence
+        row = int(np.flatnonzero(table.sa == 0)[0])
+        short = SuffixTable(*(np.delete(column, row) for column in (table.sa, table.seg_id, table.pos, table.head)))
         emissions = stream(graph, short, seg)
         with pytest.raises(StructureError, match="20 emissions, expected 21"):
             next(emissions)
@@ -201,6 +202,52 @@ class TestProperties:
         table = build_suffix_table(g)
         seg = build_segment_table(g)
         assert [e.sa for e in stream(g, table, seg)] == [0, 1]
+
+
+def shuffled_in_runs(table: SuffixTable, rng: random.Random) -> SuffixTable:
+    """``table`` with the rows of every run of equal suffixes shuffled."""
+    cuts = np.flatnonzero(table.head).tolist() + [len(table)]
+    order = []
+    for a, b in zip(cuts, cuts[1:]):
+        run = list(range(a, b))
+        rng.shuffle(run)
+        order += run
+    return SuffixTable(table.sa[order], table.seg_id[order], table.pos[order], table.head)
+
+
+def batch_bytes(graph, suffix_table, segment_table) -> bytes:
+    return b"".join(
+        column.tobytes()
+        for batch in emission_batches(graph, suffix_table, segment_table)
+        for column in (batch.sa, batch.seg_id, batch.pos, batch.bwt)
+    )
+
+
+class TestRowOrderInsideRuns:
+    """The stream orders each block by right-context rank, so the order of
+    the suffix table's rows inside a run never reaches the output."""
+
+    @pytest.mark.parametrize("k", range(1, 10))
+    def test_shuffled_runs_give_the_same_batches(self, k):
+        rng = random.Random(9300 + k)
+        checked = 0
+        while checked < 40:
+            g = random_dictionary(rng, k)
+            if proper_prefixes(g):
+                continue
+            table, segment_table = build_suffix_table(g), build_segment_table(g)
+            expected = batch_bytes(g, table, segment_table)
+            assert batch_bytes(g, shuffled_in_runs(table, rng), segment_table) == expected
+            checked += 1
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_shuffled_runs_give_the_same_batches_on_pangenomes(self, seed):
+        rng = random.Random(9400 + seed)
+        pangenome, triggers = random_instance(rng)
+        g = build_graph(pangenome, triggers)
+        table, segment_table = build_suffix_table(g), build_segment_table(g)
+        expected = batch_bytes(g, table, segment_table)
+        assert batch_bytes(g, shuffled_in_runs(table, rng), segment_table) == expected
 
 
 class TestBatches:

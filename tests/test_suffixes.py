@@ -4,19 +4,19 @@ from functools import cmp_to_key
 import numpy as np
 import pytest
 
-from pfg import build_join, build_suffix_table, normalize, suffixes
+from pfg import build_graph, build_join, build_suffix_table, normalize, suffixes
 from pfg.graph import char_rank
 from pfg.suffixes import (
-    _lcp_from_levels,
     _packed_keys,
     _prefix_doubling,
+    _reach,
     _symbols,
     annotate,
     lcp_array,
     suffix_array,
 )
 
-from conftest import SUFFIX_TABLE_ROWS
+from conftest import SUFFIX_TABLE_ROWS, random_dictionary, random_instance, runs, separator_runs
 
 
 def naive_suffix_array(text):
@@ -97,10 +97,12 @@ class TestLcpArray:
         assert lcp[12] == 5
 
     def test_periodic_text_lifts_more_than_ten_rounds(self):
+        # adjacent suffixes share more than 2**10 symbols
         text = "ACG" * 370 + "$"
-        sa, _, _, levels = _prefix_doubling(_symbols(text))
-        assert len(levels) > 10
-        assert lcp_array(text, sa).tolist() == naive_lcp(text, sa.tolist())
+        sa = suffix_array(text)
+        lcp = lcp_array(text, sa).tolist()
+        assert max(lcp) > 2**10
+        assert lcp == naive_lcp(text, sa.tolist())
 
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_pairwise_oracle(self, seed):
@@ -136,11 +138,11 @@ class TestPackedFirstSort:
         symbols = values + rng.choices(values, k=400)
         symbols += symbols[:60]  # a repeat that needs doubling rounds
         assert _packed_keys(np.array(symbols))[2] == width
-        sa, isa, shared, levels = _prefix_doubling(np.array(symbols))
+        sa, isa, head = _prefix_doubling(np.array(symbols))
         expected = naive_int_suffix_array(symbols)
         assert sa.tolist() == expected
         assert isa[sa].tolist() == list(range(len(symbols)))
-        assert _lcp_from_levels(sa, isa, shared, levels).tolist() == naive_lcp(symbols, expected)
+        assert head.all()
 
 
     @pytest.mark.parametrize("extra", [-1, 0, 1])
@@ -166,12 +168,10 @@ class TestPackedFirstSort:
         # with one value every LCP up to the length occurs
         symbols = values + word + values[:1] + rng.choices(values, k=40) + word + values[-1:]
         assert _packed_keys(np.array(symbols))[2] == width
-        sa, isa, shared, levels = _prefix_doubling(np.array(symbols))
+        sa, _, _ = _prefix_doubling(np.array(symbols))
         expected = naive_int_suffix_array(symbols)
-        lcp = _lcp_from_levels(sa, isa, shared, levels).tolist()
         assert sa.tolist() == expected
-        assert lcp == naive_lcp(symbols, expected)
-        assert width + extra in lcp
+        assert width + extra in naive_lcp(symbols, expected)
 
 
 class TestAnnotate:
@@ -185,15 +185,27 @@ class TestAnnotate:
         assert (seg_id[21], pos[21]) == (3, 0)
 
 
+def assert_runs_match(graph):
+    """The table's runs and their rows are those of the full suffix array,
+    cut where the LCP stops short of the upper row's separator."""
+    join = build_join(graph)
+    sa = suffix_array(join.text)
+    head = separator_runs(join.text, sa.tolist(), lcp_array(join.text, sa).tolist())
+    table = build_suffix_table(graph)
+    assert table.head.tolist() == head
+    assert runs(table.head, table.sa, table.seg_id, table.pos) == runs(head, sa, *annotate(join, sa))
+
+
 class TestSuffixTable:
     def test_full_table_matches_fixture(self, graph):
+        # rows come sorted up to their separators: the same runs of rows as
+        # in the full suffix array, in any order inside a run
         table = build_suffix_table(graph)
+        _, sa, lcp, seg_id, pos = map(list, zip(*SUFFIX_TABLE_ROWS))
+        head = separator_runs(build_join(graph).text, sa, lcp)
         assert len(table) == 31
-        for i, sa, lcp, seg_id, pos in SUFFIX_TABLE_ROWS:
-            assert table.sa[i] == sa
-            assert table.lcp[i] == lcp
-            assert table.seg_id[i] == seg_id
-            assert table.pos[i] == pos
+        assert table.head.tolist() == head
+        assert runs(table.head, table.sa, table.seg_id, table.pos) == runs(head, sa, seg_id, pos)
 
     def test_int64_columns_past_2_to_the_31(self, graph, monkeypatch):
         assert suffixes._index_dtype(2**31 - 1) is np.int32
@@ -201,11 +213,12 @@ class TestSuffixTable:
         # a join that long is too large to build here, so force the wide type
         monkeypatch.setattr(suffixes, "_index_dtype", lambda n: np.int64)
         table = build_suffix_table(graph)
-        columns = (table.sa, table.lcp, table.seg_id, table.pos)
+        columns = (table.sa, table.seg_id, table.pos)
         assert {column.dtype for column in columns} == {np.dtype(np.int64)}
-        assert [list(row) for row in zip(*(c.tolist() for c in columns))] == [
-            list(row[1:]) for row in SUFFIX_TABLE_ROWS
-        ]
+        _, sa, lcp, seg_id, pos = map(list, zip(*SUFFIX_TABLE_ROWS))
+        head = separator_runs(build_join(graph).text, sa, lcp)
+        assert table.head.tolist() == head
+        assert runs(table.head, *columns) == runs(head, sa, seg_id, pos)
 
     def test_rows_point_at_join_characters(self, graph):
         join = build_join(graph)
@@ -214,3 +227,24 @@ class TestSuffixTable:
             sid, pos = table.seg_id[i], table.pos[i]
             if sid < len(graph.segments) and pos < len(graph.content(sid)):
                 assert chr(join.text[table.sa[i]]) == graph.content(sid)[pos]
+
+    @pytest.mark.parametrize("k", range(1, 10))
+    def test_runs_match_the_full_suffix_array(self, k):
+        # any dictionary, prefix-free or not
+        rng = random.Random(9000 + k)
+        for _ in range(100):
+            assert_runs_match(random_dictionary(rng, k))
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_runs_match_on_partitioned_pangenomes(self, seed):
+        assert_runs_match(build_graph(*random_instance(random.Random(9100 + seed))))
+
+    def test_runs_match_on_long_periodic_segments(self):
+        # runs that stay tied through several doubling rounds, until their
+        # shared prefix passes their separator
+        rng = random.Random(9200)
+        contents = {("ACG" * 100)[: rng.randint(20, 300)] + rng.choice(["", "T", "TT"]) for _ in range(12)}
+        assert_runs_match(normalize(dict(enumerate(contents)), [[i] for i in range(len(contents))], k=1))
+
+    def test_reach_runs_to_each_separator(self):
+        assert _reach(b"AB..#C#$").tolist() == [5, 4, 3, 2, 1, 2, 1, 1]
