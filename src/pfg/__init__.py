@@ -4,14 +4,14 @@ suffix-array iteration."""
 from .automaton import TriggerSet, compile_triggers
 from .errors import ConfigError, FormatError, PfgError, StructureError
 from .fasta import read_fasta, read_triggers
-from .gfa import GfaDocument, expand_gfa_paths, graph_from_gfa, read_gfa, write_gfa
+from .document import GfaDocument
+from .gfa import expand_gfa_paths, graph_from_gfa, read_gfa, write_gfa
 from .graph import (
     PAD,
     SENTINEL,
     SEPARATOR,
     Pangenome,
     PrefixFreeGraph,
-    Segment,
     SegmentJoin,
     normalize,
     reconstruct,
@@ -33,7 +33,6 @@ __all__ = [
     "PrefixFreeGraph",
     "SENTINEL",
     "SEPARATOR",
-    "Segment",
     "SegmentJoin",
     "SegmentTable",
     "StructureError",

@@ -156,12 +156,7 @@ def _pfg2sa(args, stdin, stdout, stderr):
     segment_table = build_segment_table(graph)
     batches = emission_batches(graph, suffix_table, segment_table, with_bwt=args.bwt or args.verify)
     if args.verify:
-        pangenome = Pangenome(
-            sequences=[
-                (name, reconstruct(graph, j))
-                for j, (name, _) in enumerate(graph.paths)
-            ]
-        )
+        pangenome = Pangenome(sequences=[(name, reconstruct(graph, j)) for j, name in enumerate(graph.path_names)])
         if pangenome.total_length > MAX_ORACLE_BYTES:
             print("pfg2sa: --verify is limited to small inputs", file=stderr)
             return 1

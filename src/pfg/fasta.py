@@ -10,10 +10,11 @@ from .graph import Pangenome, invalid_letter
 def read_fasta(stream) -> Pangenome:
     """Parse a FASTA stream into a Pangenome.
 
-    Names are headers up to the first whitespace; sequence lines are
-    concatenated and uppercased; CR/LF is tolerated.
+    Names are headers up to the first whitespace, and must be unique;
+    sequence lines are concatenated and uppercased; CR/LF is tolerated.
     """
     sequences = []
+    names = set()
     name = None
     chunks: list[str] = []
     start_line = 0
@@ -34,6 +35,9 @@ def read_fasta(stream) -> Pangenome:
             if not words:
                 raise FormatError("record has an empty name", line=lineno)
             name = words[0]
+            if name in names:
+                raise FormatError(f"record name {name!r} is repeated", line=lineno)
+            names.add(name)
             chunks = []
             start_line = lineno
         elif line.strip():

@@ -3,39 +3,27 @@
 Graphs are written with pad dots included in the S-lines and the trigger
 length recorded as a ``TL`` header tag, so a GFA file alone fully
 determines the graph and its joins.  Reverse orientations and GFA 2.0 are
-unsupported.
+unsupported.  ``read_gfa`` reads a file into a columnar ``GfaDocument``,
+with numpy when it can (``document.read_columns``) and line by line
+otherwise (``lines.read_lines``); ``graph_from_gfa`` and
+``expand_gfa_paths`` turn a document into a graph or into sequences.
 """
 
 from __future__ import annotations
 
-import sys
-from dataclasses import dataclass, field
 from itertools import chain, islice
 
 import numpy as np
 
+from .document import GfaDocument, read_columns
 from .errors import FormatError, StructureError
-from .graph import PAD, Pangenome, PrefixFreeGraph, Segment, invalid_letter
+from .graph import PAD, Pangenome, PrefixFreeGraph, SegmentJoin
+from .lines import read_lines
 from .validation import _structural_report
 
 
-@dataclass
-class GfaDocument:
-    header_tags: dict[str, str] = field(default_factory=dict)
-    segments: dict[str, str] = field(default_factory=dict)  # name -> sequence
-    # (name, segment names, per-step overlaps or None for "*")
-    paths: list[tuple[str, list[str], list[int] | None]] = field(default_factory=list)
-
-    @property
-    def trigger_length(self) -> int | None:
-        tag = self.header_tags.get("TL")
-        if tag is None:
-            return None
-        k = int(tag) if tag.isascii() and tag.isdigit() else 0
-        if not 0 < k <= sys.maxsize:
-            raise FormatError(f"TL header tag must be a positive integer up to {sys.maxsize}")
-        return k
-
+# Path steps per group when gfa2pfg checks the declared overlaps.
+STEPS_PER_CHECK = 1 << 16
 
 # Lines per write before the P-lines: on an unbuffered sink each write is a
 # syscall, and one write of everything would raise the peak memory.
@@ -49,7 +37,7 @@ def write_gfa(graph: PrefixFreeGraph, sink) -> None:
     # hand (np.unique imports numpy.ma on its first call).  A path's last
     # step pairs with nothing; its key -1 sorts first and goes with the
     # repeats.
-    n = len(graph.segments)
+    n = len(graph.join.lengths)
     steps = graph.steps
     keys = steps.astype(np.int64)
     keys *= n
@@ -60,116 +48,27 @@ def write_gfa(graph: PrefixFreeGraph, sink) -> None:
     del keys
     lines = chain(
         [f"H\tVN:Z:1.0\tTL:i:{k}\n"],
-        (f"S\t{i}\t{seg.content}\n" for i, seg in enumerate(graph.segments)),
+        (f"S\t{i}\t{content}\n" for i, content in enumerate(graph.join.contents())),
         (f"L\t{a}\t+\t{b}\t+\t{k}M\n" for a, b in zip((pairs // n).tolist(), (pairs % n).tolist())),
     )
     while chunk := "".join(islice(lines, LINES_PER_WRITE)):
         sink.write(chunk)
-    for name, path in graph.paths:
+    bounds = graph.path_offsets.tolist()
+    for name, a, b in zip(graph.path_names, bounds, bounds[1:]):
+        path = steps[a:b].tolist()
         overlaps = ",".join([f"{k}M"] * (len(path) - 1)) or "*"
         sink.write(f"P\t{name}\t{'+,'.join(map(str, path))}+\t{overlaps}\n")
 
 
-def _parse_tags(fields, lineno):
-    tags = {}
-    for raw in fields:
-        parts = raw.split(":", 2)
-        if len(parts) != 3:
-            raise FormatError(f"malformed tag {raw!r}", line=lineno)
-        tags[parts[0]] = parts[2]
-    return tags
-
-
 def read_gfa(stream) -> GfaDocument:
-    """Tolerant GFA parse: unknown record types are ignored, and records may
-    come in any order.  L-records are checked but not kept."""
-    doc = GfaDocument()
-    p_records = []  # (line number, fields) of each P-record
-    overlap_of = {}  # each distinct overlap token, parsed once
-    for lineno, line in enumerate(stream, start=1):
-        line = line.rstrip("\r\n")
-        if not line:
-            continue
-        fields = line.split("\t")
-        kind = fields[0]
-        if kind == "H":
-            doc.header_tags.update(_parse_tags(fields[1:], lineno))
-        elif kind == "S":
-            if len(fields) < 3:
-                raise FormatError("S-record needs a name and a sequence", line=lineno)
-            if fields[1] in doc.segments:
-                raise FormatError(f"segment name {fields[1]!r} is repeated", line=lineno)
-            bad = invalid_letter(fields[2].replace(PAD, ""))
-            if bad is not None:
-                raise FormatError(f"reserved or invalid character {bad!r} in S-record", line=lineno)
-            doc.segments[fields[1]] = fields[2].upper()
-        elif kind == "L":
-            if len(fields) < 6:
-                raise FormatError("L-record needs five fields", line=lineno)
-            if fields[2] != "+" or fields[4] != "+":
-                raise FormatError("reverse orientation is unsupported", line=lineno)
-            if fields[5] not in overlap_of:
-                overlap_of[fields[5]] = _parse_overlap(fields[5], lineno)
-        elif kind == "P":
-            if len(fields) < 4:
-                raise FormatError("P-record needs a name, steps and overlaps", line=lineno)
-            p_records.append((lineno, fields))
-    # The path tuples are made after every step list.  Made in between, the
-    # ones that Python's tuple free list keeps once the document is freed
-    # would pin the pages of the step names (16 MB at 256 x 30 kb).
-    names, step_lists, overlap_lists = [], [], []
-    for lineno, fields in p_records:
-        steps = _step_names(fields[2], doc.segments, lineno)
-        if fields[3] == "*":
-            overlaps = None
-        else:
-            tokens = fields[3].split(",")
-            for token in set(tokens).difference(overlap_of):
-                overlap_of[token] = _parse_overlap(token, lineno)
-            overlaps = list(map(overlap_of.__getitem__, tokens))
-            if len(overlaps) != len(steps) - 1:
-                raise FormatError("overlap count does not match step count", line=lineno)
-        names.append(fields[1])
-        step_lists.append(steps)
-        overlap_lists.append(overlaps)
-    doc.paths = list(zip(names, step_lists, overlap_lists))
-    return doc
-
-
-def _step_names(field: str, segments: dict[str, str], lineno: int) -> list[str]:
-    """The segment names of a P-record's step field ``name+,name+,...``.
-
-    One split and one membership pass take a well-formed field.  A step
-    name holding a comma would split apart, so the comma count must match
-    too.  Any other field goes through the steps one by one, which words
-    the error of the first bad step.
-    """
-    steps = field[:-1].split("+,")
-    if (
-        field.endswith("+")
-        and len(steps) == field.count(",") + 1
-        and all(map(segments.__contains__, steps))
-    ):
-        return steps
-    steps = []
-    for step in field.split(","):
-        if step.endswith("-"):
-            raise FormatError(f"reverse-orientation step {step!r} is unsupported", line=lineno)
-        if not step.endswith("+"):
-            raise FormatError(f"malformed step {step!r}", line=lineno)
-        if step[:-1] not in segments:
-            raise FormatError(f"path step references unknown segment {step[:-1]!r}", line=lineno)
-        steps.append(step[:-1])
-    return steps
-
-
-def _parse_overlap(token: str, lineno: int) -> int:
-    if token == "*":
-        return 0
-    # ASCII digits only: isdigit() also takes "²" and "٣"
-    if not token.endswith("M") or not (token[:-1].isascii() and token[:-1].isdigit()):
-        raise FormatError(f"unsupported overlap {token!r}", line=lineno)
-    return int(token[:-1])
+    """Tolerant GFA parse of a text stream: unknown record types are
+    ignored, and records may come in any order.  L-records are checked but
+    not kept."""
+    data = stream.read().encode("utf-8")
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    doc = read_columns(data)
+    return doc if doc is not None else read_lines(data.decode("utf-8"))
 
 
 def expand_gfa_paths(doc: GfaDocument) -> Pangenome:
@@ -178,52 +77,93 @@ def expand_gfa_paths(doc: GfaDocument) -> Pangenome:
     Declared overlaps must agree with the actual segment sequences, and
     none may be longer than a segment it joins.
     """
+    text, starts, lengths = doc.join.text, doc.join.boundaries, doc.join.lengths
+    steps, offsets, overlaps = doc.steps, doc.path_offsets, doc.overlaps
+    first_bad = _first_bad_join(doc)
+    bounds = offsets.tolist()
     sequences = []
-    for name, steps, overlaps in doc.paths:
-        expanded = prev = doc.segments[steps[0]]
-        for t in range(1, len(steps)):
-            nxt = doc.segments[steps[t]]
-            ov = overlaps[t - 1] if overlaps is not None else 0
-            if ov:
-                if ov > min(len(prev), len(nxt)):
-                    raise FormatError(
-                        f"path {name!r} step {t}: declared overlap {ov} is longer "
-                        "than a segment it joins"
-                    )
-                if expanded[-ov:] != nxt[:ov]:
-                    raise FormatError(
-                        f"path {name!r} step {t}: declared overlap {ov} does not "
-                        "match the segment sequences"
-                    )
-            expanded += nxt[ov:]
-            prev = nxt
-        expanded = expanded.rstrip(PAD)
+    for name, a, b in zip(doc.path_names, bounds, bounds[1:]):
+        if first_bad is not None and first_bad < b:
+            t = first_bad - a
+            ov = int(overlaps[first_bad])
+            previous, following = steps[first_bad - 1 : first_bad + 1]
+            if ov > min(lengths[previous], lengths[following]):
+                raise FormatError(f"path {name!r} step {t}: declared overlap {ov} is longer than a segment it joins")
+            raise FormatError(f"path {name!r} step {t}: declared overlap {ov} does not match the segment sequences")
+        ids = steps[a:b]
+        begins = (starts[ids] + overlaps[a:b]).tolist()
+        ends = (starts[ids] + lengths[ids]).tolist()
+        expanded = b"".join([text[s:e] for s, e in zip(begins, ends)]).rstrip(PAD.encode())
         if not expanded:
             raise FormatError(f"path {name!r} expands to an empty sequence")
-        sequences.append((name, expanded))
+        sequences.append((name, expanded.decode("ascii")))
     return Pangenome(sequences=sequences)
+
+
+def _first_bad_join(doc: GfaDocument) -> int | None:
+    """The first step, in path order, whose declared overlap is longer than
+    the step before it or than its own segment, or does not match the end
+    of the step before it; None if there is none.
+
+    The steps are checked in groups of STEPS_PER_CHECK, which bounds the
+    check's temporary arrays, and each distinct (previous segment,
+    segment, overlap) triple of a group is compared once.
+    """
+    text, starts, lengths = doc.join.text, doc.join.boundaries, doc.join.lengths
+    steps, overlaps = doc.steps, doc.overlaps
+    for first in range(0, len(steps), STEPS_PER_CHECK):
+        # overlaps is 0 at each path's first step, so no pair crosses two paths
+        joins = first + np.flatnonzero(overlaps[first : first + STEPS_PER_CHECK])
+        previous, following, ov = steps[joins - 1], steps[joins], overlaps[joins]
+        bad = ov > np.minimum(lengths[previous], lengths[following])
+        order = np.lexsort((ov, following, previous))
+        previous, following, ov = previous[order], following[order], ov[order]
+        distinct = np.ones(len(order), dtype=bool)
+        distinct[1:] = (previous[1:] != previous[:-1]) | (following[1:] != following[:-1]) | (ov[1:] != ov[:-1])
+        previous, following, ov = previous[distinct], following[distinct], ov[distinct]
+        ends = starts[previous] + lengths[previous]
+        mismatch = np.array(
+            [
+                not too_long and text[end - o : end] != text[start : start + o]
+                for too_long, end, start, o in zip(
+                    bad[order][distinct].tolist(), ends.tolist(), starts[following].tolist(), ov.tolist()
+                )
+            ],
+            dtype=bool,
+        )
+        bad[order] |= mismatch[np.cumsum(distinct) - 1]
+        hits = np.flatnonzero(bad)
+        if hits.size:
+            return int(joins[hits[0]])
+    return None
 
 
 def graph_from_gfa(doc: GfaDocument) -> PrefixFreeGraph:
     """Interpret a GFA document written by :func:`write_gfa` as a graph.
 
-    Prefix-freeness is left to the stream, which checks it before it emits."""
+    The S-records are put in id order; prefix-freeness is left to the
+    stream, which checks it before it emits."""
     k = doc.trigger_length
     if k is None:
         raise FormatError("missing TL header tag (trigger length)")
+    n = len(doc.ids)
     # exactly the ids in plain decimal: int() would also take 01, +1, 0_1 and " 1"
-    names = [str(i) for i in range(len(doc.segments))]
-    if doc.segments.keys() != set(names):
-        raise FormatError(f"segment names must be the ids 0 to {len(names) - 1} in plain decimal")
-    segments = [Segment(doc.segments[name]) for name in names]
-    paths = [(name, list(map(int, steps))) for name, steps, _ in doc.paths]
-    graph = PrefixFreeGraph(k=k, segments=segments, paths=paths)
+    order = np.argsort(doc.ids)
+    if not np.array_equal(doc.ids[order], np.arange(n)):
+        raise FormatError(f"segment names must be the ids 0 to {n - 1} in plain decimal")
+    join, steps = doc.join, doc.steps
+    if not np.array_equal(order, np.arange(n)):
+        join = SegmentJoin.of([join.content(r) for r in order.tolist()])
+        steps = doc.ids[steps].astype(np.int32)
+    graph = PrefixFreeGraph(k=k, join=join, steps=steps, path_offsets=doc.path_offsets, path_names=doc.path_names)
     report = _structural_report(graph)
     if not report.ok:
         raise StructureError("GFA does not encode a valid prefix-free graph: " + "; ".join(report.errors))
     # the graph reads each path as its segments overlapping by k, so a path
     # that declares any other overlap would spell another sequence
-    for name, steps, overlaps in doc.paths:
-        if len(steps) > 1 and (overlaps is None or overlaps.count(k) != len(overlaps)):
-            raise FormatError(f"path {name!r} must declare an overlap of {k}M at every join")
+    wrong = doc.overlaps != k
+    wrong[doc.path_offsets[:-1]] = False  # a path's first step joins nothing
+    if wrong.any():
+        j = int(np.searchsorted(doc.path_offsets, np.argmax(wrong), side="right")) - 1
+        raise FormatError(f"path {doc.path_names[j]!r} must declare an overlap of {k}M at every join")
     return graph

@@ -10,7 +10,7 @@ characters.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -69,7 +69,9 @@ class Pangenome:
 
 @dataclass(frozen=True)
 class Segment:
-    content: str  # its id is its index in the graph's segment list
+    """One segment of a graph's ``segments`` view; its id is its index there."""
+
+    content: str
 
 
 @dataclass
@@ -78,6 +80,22 @@ class SegmentJoin:
 
     text: bytes
     boundaries: np.ndarray  # int64 start offset of each segment in text
+    lengths: np.ndarray  # int64 length of each segment, pads included
+
+    @classmethod
+    def of(cls, contents: list[str]) -> SegmentJoin:
+        """The join of ``contents``, which must be ASCII."""
+        lengths = np.fromiter(map(len, contents), dtype=np.int64, count=len(contents))
+        text = SEPARATOR.join([*contents, SENTINEL]).encode("ascii")
+        return cls(text=text, boundaries=np.cumsum(lengths + 1) - lengths - 1, lengths=lengths)
+
+    def content(self, i: int) -> str:
+        start = int(self.boundaries[i])
+        return self.text[start : start + int(self.lengths[i])].decode("ascii")
+
+    def contents(self) -> list[str]:
+        text, starts = self.text.decode("ascii"), self.boundaries.tolist()
+        return [text[a : a + n] for a, n in zip(starts, self.lengths.tolist())]
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -86,39 +104,37 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-@dataclass
+@dataclass(eq=False)
 class PrefixFreeGraph:
-    """Segments and ID-paths, plus columns derived from them.
+    """Segments and ID-paths, held as columns only.
 
-    The columns are built once, when the graph is made, so a graph must not
-    be changed after it is made.  Segment contents must be ASCII.
+    Segment ``i`` is ``join.text[join.boundaries[i]:][:join.lengths[i]]``
+    and path ``j`` is ``path_names[j]`` with the segment ids
+    ``steps[path_offsets[j]:path_offsets[j + 1]]``.  Every reader shares the
+    columns, so a graph must not be changed after it is made; its arrays
+    are read-only.
     """
 
     k: int
-    segments: list[Segment]
-    paths: list[tuple[str, list[int]]]
-    lengths: np.ndarray = field(init=False, repr=False, compare=False)  # int64 segment lengths, pads included
-    join: SegmentJoin = field(init=False, repr=False, compare=False)
-    steps: np.ndarray = field(init=False, repr=False, compare=False)  # int32 segment id of every path step, in path order
-    # int64, one more than the path count: path j's steps are
-    # steps[path_offsets[j]:path_offsets[j + 1]]
-    path_offsets: np.ndarray = field(init=False, repr=False, compare=False)
+    join: SegmentJoin
+    steps: np.ndarray  # int32 segment id of every path step, in path order
+    path_offsets: np.ndarray  # int64, one more than the path count
+    path_names: list[str]
 
     def __post_init__(self):
-        contents = [seg.content for seg in self.segments]
-        self.lengths = _read_only(np.fromiter(map(len, contents), dtype=np.int64, count=len(contents)))
-        self.join = SegmentJoin(
-            text=SEPARATOR.join([*contents, SENTINEL]).encode("ascii"),
-            boundaries=_read_only(np.cumsum(self.lengths + 1) - self.lengths - 1),
-        )
-        counts = np.fromiter((len(path) for _, path in self.paths), dtype=np.int64, count=len(self.paths))
-        self.path_offsets = _read_only(np.append(0, np.cumsum(counts)))
-        self.steps = _read_only(
-            np.fromiter(chain.from_iterable(path for _, path in self.paths), dtype=np.int32, count=int(counts.sum()))
-        )
+        for array in (self.join.boundaries, self.join.lengths, self.steps, self.path_offsets):
+            _read_only(array)
 
-    def content(self, seg_id: int) -> str:
-        return self.segments[seg_id].content
+    @property
+    def segments(self) -> list[Segment]:
+        """The segments as objects, built on each access."""
+        return [Segment(content) for content in self.join.contents()]
+
+    @property
+    def paths(self) -> list[tuple[str, list[int]]]:
+        """Each path's name and segment ids as lists, built on each access."""
+        bounds = self.path_offsets.tolist()
+        return [(name, self.steps[a:b].tolist()) for name, a, b in zip(self.path_names, bounds, bounds[1:])]
 
 
 def normalize(segments, paths, k, names=None) -> PrefixFreeGraph:
@@ -128,25 +144,33 @@ def normalize(segments, paths, k, names=None) -> PrefixFreeGraph:
     IDs per sequence.  The same permutation that sorts the segments is
     applied to every path.
     """
-    contents = list(segments.values())
-    if len(set(contents)) != len(contents):
+    if len(set(segments.values())) != len(segments):
         raise StructureError("duplicate segment content under distinct discovery ids")
-    order = sorted(segments, key=lambda i: segments[i])
-    rank = {old: new for new, old in enumerate(order)}
-    new_segments = [Segment(segments[old]) for old in order]
     if names is None:
         names = [f"path_{j}" for j in range(len(paths))]
-    new_paths = []
-    for name, path in zip(names, paths, strict=True):
-        try:
-            new_paths.append((name, [rank[old] for old in path]))
-        except KeyError as exc:
-            raise StructureError(f"path {name!r} references unknown segment {exc.args[0]}") from None
-    return PrefixFreeGraph(k=k, segments=new_segments, paths=new_paths)
+    counts = [len(path) for _, path in zip(names, paths, strict=True)]
+    order = sorted(segments, key=segments.__getitem__)
+    rank = {old: new for new, old in enumerate(order)}
+    try:
+        steps = np.fromiter(map(rank.__getitem__, chain.from_iterable(paths)), dtype=np.int32, count=sum(counts))
+    except KeyError as exc:
+        # the first path that holds the id is the one whose step raised
+        name = next(name for name, path in zip(names, paths) if exc.args[0] in path)
+        raise StructureError(f"path {name!r} references unknown segment {exc.args[0]}") from None
+    return PrefixFreeGraph(
+        k=k,
+        join=SegmentJoin.of([segments[old] for old in order]),
+        steps=steps,
+        path_offsets=np.append(0, np.cumsum(counts, dtype=np.int64)),
+        path_names=list(names),
+    )
 
 
 def reconstruct(graph: PrefixFreeGraph, path_index: int) -> str:
     """Expand a path back into its original sequence."""
-    _, path = graph.paths[path_index]
-    k = graph.k
-    return "".join(graph.content(sid)[:-k] for sid in path)
+    join, k = graph.join, graph.k
+    a, b = graph.path_offsets[path_index : path_index + 2]
+    ids = graph.steps[a:b]
+    starts = join.boundaries[ids].tolist()
+    ends = (join.boundaries[ids] + join.lengths[ids] - k).tolist()
+    return b"".join([join.text[s:e] for s, e in zip(starts, ends)]).decode("ascii")

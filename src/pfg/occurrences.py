@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import SENTINEL, PrefixFreeGraph
-from .suffixes import _prefix_doubling
+from .suffixes import _index_dtype, _prefix_doubling
 
 END = 0  # terminates the path join; smallest symbol
 SEP = 1  # delimits paths; below every segment id
@@ -52,7 +52,7 @@ def right_context_ranks(symbols: np.ndarray) -> np.ndarray:
 
 def occurrence_starts(graph: PrefixFreeGraph) -> np.ndarray:
     """Pangenome start offset of every path step, in path order."""
-    widths = graph.lengths[graph.steps] - graph.k
+    widths = graph.join.lengths[graph.steps] - graph.k
     starts = np.zeros(len(widths), dtype=np.int64)
     np.cumsum(widths[:-1], out=starts[1:])
     return starts
@@ -65,23 +65,30 @@ def preceding_chars(graph: PrefixFreeGraph) -> np.ndarray:
     owns letters (a segment of length k owns none), or SENTINEL when there
     is no such step.
     """
-    ids, offsets, lengths, k = graph.steps, graph.path_offsets, graph.lengths, graph.k
-    text = np.frombuffer(graph.join.text, dtype=np.uint8)
-    steps = np.arange(len(ids))
-    owner = np.maximum.accumulate(np.where(lengths[ids] > k, steps, -1))
-    before = np.roll(owner, 1)
+    ids, offsets, k = graph.steps, graph.path_offsets, graph.k
+    join = graph.join
+    index = _index_dtype(len(ids))
+    owns = join.lengths > k
+    # each segment's last letter before its k overlap, if it owns letters
+    last = np.frombuffer(join.text, dtype=np.uint8)[(join.boundaries + join.lengths - k - 1)[owns]]
+    # the nearest owning step at or before each step, -1 for none
+    owner = np.where(owns[ids], np.arange(len(ids), dtype=index), index(-1))
+    np.maximum.accumulate(owner, out=owner)
+    before = np.empty_like(owner)
     before[:1] = -1
-    path_first = np.repeat(offsets[:-1], np.diff(offsets))
-    inner = before >= path_first
-    owner_ids = ids[before[inner]]
+    before[1:] = owner[:-1]
+    del owner
+    inner = before >= np.repeat(offsets[:-1].astype(index), np.diff(offsets))
     prev = np.full(len(ids), ord(SENTINEL), dtype=np.uint8)
-    prev[inner] = text[graph.join.boundaries[owner_ids] + lengths[owner_ids] - k - 1]
+    # a segment's rank among the owning segments indexes last
+    rank = np.cumsum(owns, dtype=index) - 1
+    prev[inner] = last[rank[ids[before[inner]]]]
     return prev
 
 
 def build_segment_table(graph: PrefixFreeGraph) -> SegmentTable:
     """Group the path steps by segment and sort each group by rank."""
-    ids, lengths = graph.steps, graph.lengths
+    ids, lengths = graph.steps, graph.join.lengths
     ranks = right_context_ranks(build_path_join(graph))
     order = np.lexsort((ranks, ids))
     offsets = np.zeros(len(lengths) + 1, dtype=np.int64)

@@ -85,12 +85,17 @@ def _prefix_doubling(symbols, reach: np.ndarray | None = None) -> tuple[np.ndarr
     del symbols  # freed here when the caller passed a temporary
     n = keys.size
     index = _index_dtype(n)
+    unfinished = None
     if reach is not None:
         # zero each key's symbols past its separator
         cut = ((width - np.minimum(reach, width)) * bits).astype(np.uint8)
         keys >>= cut
         keys <<= cut
         del cut
+        # one byte per suffix in the rounds: whether its separator lies
+        # past its first h symbols
+        unfinished = reach > width
+        del reach
     sa = np.argsort(keys).astype(index)
     keys = keys[sa]
     head = np.append(True, keys[1:] != keys[:-1])
@@ -111,9 +116,9 @@ def _prefix_doubling(symbols, reach: np.ndarray | None = None) -> tuple[np.ndarr
         rank[rows] = starts
         del starts
         tie = ~(group_head & np.append(group_head[1:], True))
-        if reach is not None:
+        if unfinished is not None:
             # a group whose members share their separator is final
-            tie &= np.take(reach, rows) > h
+            tie &= unfinished[rows]
         tied, rows = tied[tie], rows[tie]
         if not tied.size:
             break
@@ -137,6 +142,10 @@ def _prefix_doubling(symbols, reach: np.ndarray | None = None) -> tuple[np.ndarr
         group_head[1:] |= rank_h[1:] != rank_h[:-1]
         del rank_h
         head[tied] = group_head
+        if unfinished is not None:
+            # a suffix is unfinished after 2h symbols when it is after h and
+            # so is the suffix h on; the last h suffixes are no longer than h
+            np.logical_and(unfinished[: n - h], unfinished[h:], out=unfinished[: n - h])
         h *= 2
     return sa, rank, head
 

@@ -8,6 +8,7 @@ join for the segments' last k + 1 letters; no suffix is sorted.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import ge
 
 import numpy as np
 
@@ -30,39 +31,42 @@ def _structural_report(graph: PrefixFreeGraph) -> ValidationReport:
     report = ValidationReport()
     err = report.errors.append
     k = graph.k
-    segs = graph.segments
-    n = len(segs)
+    contents = graph.join.contents()
+    n = len(contents)
+    lengths = graph.join.lengths
 
     # Per segment: codes of its first and last k letters (equal codes, equal
-    # letters), whether it holds a pad, and whether it ends with k of them.
+    # letters), where its first pad is, and how many pads end it.
     code_of: dict[str, int] = {}
-    heads, tails, padded, end_padded = [], [], [], []
-    for i, seg in enumerate(segs):
-        content = seg.content
-        if len(content) < k:
+    heads = [code_of.setdefault(content[:k], len(code_of)) for content in contents]
+    tails = [code_of.setdefault(content[-k:], len(code_of)) for content in contents]
+    dots = np.array([content.find(PAD) for content in contents], dtype=np.int64)
+    # count the trailing pads: PAD * k would be as large as the TL tag
+    end_pads = np.array([len(content) - len(content.rstrip(PAD)) for content in contents], dtype=np.int64)
+    unordered = np.zeros(n, dtype=bool)
+    unordered[1:] = list(map(ge, contents[:-1], contents[1:]))
+    del contents
+    short = lengths < k
+    padded = dots >= 0
+    # the pads must be the segment's last k letters
+    misplaced = padded & ((lengths - dots != end_pads) | (end_pads != k))
+    for i in np.flatnonzero(short | unordered | misplaced).tolist():
+        if short[i]:
             err(f"segment {i} shorter than k")
-        if i and segs[i - 1].content >= content:
+        if unordered[i]:
             err(f"segments {i - 1} and {i} not in strict lexicographic order")
-        dot = content.find(PAD)
-        if dot != -1:
-            run = content[dot:]
-            if set(run) != {PAD} or len(run) != k:
-                err(f"segment {i} has misplaced pad characters")
-        heads.append(code_of.setdefault(content[:k], len(code_of)))
-        tails.append(code_of.setdefault(content[-k:], len(code_of)))
-        padded.append(dot != -1)
-        # count the trailing pads: PAD * k would be as large as the TL tag
-        end_padded.append(len(content) - len(content.rstrip(PAD)) >= k)
+        if misplaced[i]:
+            err(f"segment {i} has misplaced pad characters")
     # row n stands for every unknown id
     heads = np.array(heads + [-1], dtype=np.int32)
     tails = np.array(tails + [-1], dtype=np.int32)
-    padded = np.array(padded + [False])
-    end_padded = np.array(end_padded + [True])
+    padded = np.append(padded, False)
+    end_padded = np.append(end_pads >= k, True)
 
     begins, ends = graph.path_offsets[:-1], graph.path_offsets[1:]
     used = ends > begins
     known = (graph.steps >= 0) & (graph.steps < n)
-    at = np.where(known, graph.steps, n)  # the messages read the ids from graph.paths
+    at = np.where(known, graph.steps, n)
     # step i breaks the k-overlap with step i - 1 of its path
     broken = np.zeros(len(at), dtype=bool)
     np.not_equal(tails[at[:-1]], heads[at[1:]], out=broken[1:])
@@ -74,11 +78,11 @@ def _structural_report(graph: PrefixFreeGraph) -> ValidationReport:
     flagged[used] |= ~end_padded[at[ends[used] - 1]]
     flagged[np.searchsorted(ends, np.flatnonzero(~known | broken | stray), side="right")] = True
     for j in np.flatnonzero(flagged).tolist():
-        name, path = graph.paths[j]
         b, e = begins[j], ends[j]
         if b == e:
-            err(f"path {j} ({name!r}) is empty")
+            err(f"path {j} ({graph.path_names[j]!r}) is empty")
             continue
+        path = graph.steps[b:e]
         unknown = np.flatnonzero(~known[b:e]).tolist()
         for t in unknown:
             err(f"path {j} step {t} references unknown segment {path[t]}")
@@ -106,11 +110,11 @@ def check_prefix_free(graph: PrefixFreeGraph) -> None:
     """
     k = graph.k
     # each (k + 1)-letter segment tail, and the first segment ending with it
+    text, starts, lengths = graph.join.text, graph.join.boundaries, graph.join.lengths
     owner: dict[str, int] = {}
-    for i, seg in enumerate(graph.segments):
-        if len(seg.content) > k:
-            owner.setdefault(seg.content[-k - 1 :], i)
-    text = graph.join.text
+    for i in np.flatnonzero(lengths > k).tolist():
+        end = int(starts[i] + lengths[i])
+        owner.setdefault(text[end - k - 1 : end].decode("ascii"), i)
     # the tails may end in pads, which TriggerSet.from_words rejects
     ends = compile_triggers(TriggerSet(words=tuple(owner), k=k + 1)).match_ends(text.decode("ascii"))
     # a segment's last window is followed by its separator
@@ -118,11 +122,11 @@ def check_prefix_free(graph: PrefixFreeGraph) -> None:
     if inner.size:
         end = int(inner[0])
         a = owner[text[end - k : end + 1].decode("ascii")]
-        b = int(np.searchsorted(graph.join.boundaries, end, side="right")) - 1
+        b = int(np.searchsorted(starts, end, side="right")) - 1
         raise StructureError(
             f"segment suffixes are not prefix-free: the suffix of segment {a} "
-            f"at offset {graph.lengths[a] - k - 1} is a proper prefix of the suffix of segment "
-            f"{b} at offset {end - k - graph.join.boundaries[b]}"
+            f"at offset {lengths[a] - k - 1} is a proper prefix of the suffix of segment "
+            f"{b} at offset {end - k - starts[b]}"
         )
 
 

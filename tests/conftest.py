@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from pfg import PAD, Pangenome, PrefixFreeGraph, Segment, TriggerSet, build_graph
+from pfg import PAD, Pangenome, PrefixFreeGraph, SegmentJoin, TriggerSet, build_graph
 
 RUNNING_SEQUENCES = [("s1", "CACGTACT"), ("s2", "CACACT"), ("s3", "CACGACT")]
 RUNNING_TRIGGERS = ["AC", "CG"]
@@ -121,7 +121,19 @@ def random_dictionary(rng: random.Random, k: int) -> PrefixFreeGraph:
             contents.add("".join(rng.choices(alphabet, k=rng.randint(k, k + 6))))
     contents = sorted(contents)
     paths = [(f"p{i}", [i]) for i in range(len(contents))]
-    return PrefixFreeGraph(k=k, segments=[Segment(c) for c in contents], paths=paths)
+    return make_graph(k, contents, paths)
+
+
+def make_graph(k: int, contents: list[str], paths: list[tuple[str, list[int]]]) -> PrefixFreeGraph:
+    """The graph of these segments and (name, segment ids) paths, taken as
+    they are: neither normalized nor checked."""
+    return PrefixFreeGraph(
+        k=k,
+        join=SegmentJoin.of(contents),
+        steps=np.array([sid for _, path in paths for sid in path], dtype=np.int32),
+        path_offsets=np.cumsum([0] + [len(path) for _, path in paths], dtype=np.int64),
+        path_names=[name for name, _ in paths],
+    )
 
 
 def proper_prefixes(graph: PrefixFreeGraph) -> list[tuple[int, int, int, int]]:

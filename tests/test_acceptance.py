@@ -249,3 +249,31 @@ def test_criterion_8_space_contract(large_instance, large_graph):
         f"streamed {count} emissions with {peak_growth / 1e6:.0f} MB growth "
         "(tables + one batch of emissions only)",
     )
+
+
+def test_gfa_load_keeps_only_the_graph_columns(large_graph):
+    """Reading the 256 x 30 kb graph back from its GFA keeps the graph's
+    columns and little else: no object per segment or per path step."""
+    import io
+    import tracemalloc
+
+    from pfg import graph_from_gfa, read_gfa, write_gfa
+
+    graph, _ = large_graph
+    sink = io.StringIO()
+    write_gfa(graph, sink)
+    source = io.StringIO(sink.getvalue())
+    del sink
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        loaded = graph_from_gfa(read_gfa(source))
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    join = loaded.join
+    column_bytes = len(join.text) + sum(
+        array.nbytes for array in (join.boundaries, join.lengths, loaded.steps, loaded.path_offsets)
+    )
+    assert loaded.steps.tolist() == graph.steps.tolist()
+    assert retained < 1.5 * column_bytes, (retained, column_bytes)

@@ -11,8 +11,6 @@ import pytest
 
 from pfg import (
     Pangenome,
-    PrefixFreeGraph,
-    Segment,
     TriggerSet,
     build_graph,
     build_segment_table,
@@ -24,6 +22,8 @@ from pfg import (
 )
 from pfg.cli import fasta2pfg_main, gfa2pfg_main, pfg2sa_main
 from pfg.stream import emission_batches
+
+from conftest import make_graph
 
 FASTA = ">s1\nCACGTACT\n>s2\nCACACT\n>s3\nCACGACT\n"
 # the package exports the function ``stream`` under the module's name
@@ -142,7 +142,7 @@ class TestFasta2Pfg:
 
     def test_invalid_graph_fails_with_one_line(self, trigger_file, monkeypatch):
         # unsorted segments and a path that neither overlaps nor ends with pads
-        graph = PrefixFreeGraph(k=2, segments=[Segment("CA"), Segment("AC")], paths=[("p", [0, 1])])
+        graph = make_graph(2, ["CA", "AC"], [("p", [0, 1])])
         monkeypatch.setattr(CLI_MODULE, "build_graph", lambda pangenome, triggers: graph)
         status, out, err = run(fasta2pfg_main, ["-t", trigger_file], FASTA)
         assert (status, out) == (1, "")
@@ -349,6 +349,35 @@ class TestRecordOrder:
     def test_unknown_step_names_the_path_line(self, running_gfa):
         gfa = "P\tx\t3+,9+\t2M\n" + running_gfa
         assert run(pfg2sa_main, [], gfa) == (1, "", "pfg2sa: line 1: path step references unknown segment '9'\n")
+
+
+class TestRecordNames:
+    """Sequence and path names are unique, and links name known segments."""
+
+    def test_fasta2pfg_repeated_record_name_fails(self, tmp_path):
+        triggers = tmp_path / "tag.txt"
+        triggers.write_text("TAG\n")
+        fasta = ">a\nACGTAGCA\n>a\nACGTAGCC\n"
+        assert run(fasta2pfg_main, ["-t", str(triggers)], fasta) == (
+            1,
+            "",
+            "fasta2pfg: line 3: record name 'a' is repeated\n",
+        )
+
+    @pytest.mark.parametrize("tool", ["gfa2pfg", "pfg2sa"])
+    def test_repeated_path_name_fails(self, tool, trigger_file, running_gfa):
+        p_line = next(l for l in running_gfa.splitlines(True) if l.startswith("P\ts2\t"))
+        argv = ["-t", trigger_file] if tool == "gfa2pfg" else []
+        line = len(running_gfa.splitlines()) + 1
+        expected = f"{tool}: line {line}: path name 's2' is repeated\n"
+        assert run(MAINS[tool], argv, running_gfa + p_line) == (1, "", expected)
+
+    @pytest.mark.parametrize("tool", ["gfa2pfg", "pfg2sa"])
+    def test_link_to_unknown_segment_fails(self, tool, trigger_file, running_gfa):
+        argv = ["-t", trigger_file] if tool == "gfa2pfg" else []
+        line = len(running_gfa.splitlines()) + 1
+        expected = f"{tool}: line {line}: link references unknown segment '99'\n"
+        assert run(MAINS[tool], argv, running_gfa + "L\t99\t+\t0\t+\t3M\n") == (1, "", expected)
 
 
 class TestOverlapTokens:

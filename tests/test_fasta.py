@@ -18,6 +18,11 @@ class TestReadFasta:
         with pytest.raises(FormatError):
             read_fasta(io.StringIO(">x\n\n"))
 
+    def test_repeated_name_rejected(self):
+        with pytest.raises(FormatError) as exc:
+            read_fasta(io.StringIO(">a first\nACGT\n>b\nAC\n>a second\nACGG\n"))
+        assert str(exc.value) == "line 5: record name 'a' is repeated"
+
     def test_name_up_to_whitespace(self):
         p = read_fasta(io.StringIO(">chr1 homo sapiens\nACGT\n"))
         assert p.sequences[0][0] == "chr1"

@@ -16,6 +16,7 @@ from pfg import (
 from conftest import random_instance
 
 GFA_MODULE = importlib.import_module("pfg.gfa")
+DOCUMENT_MODULE = importlib.import_module("pfg.document")
 
 
 def roundtrip(graph):
@@ -101,13 +102,18 @@ class TestWriteGfa:
 class TestReadGfa:
     def test_roundtrip_document(self, graph):
         doc = roundtrip(graph)
-        assert len(doc.segments) == 6
-        assert len(doc.paths) == 3
+        assert doc.ids.tolist() == list(range(6))
+        assert doc.join.contents() == graph.join.contents()
+        assert doc.path_names == ["s1", "s2", "s3"]
+        assert doc.steps.tolist() == graph.steps.tolist()
+        assert doc.path_offsets.tolist() == [0, 4, 7, 11]
+        assert doc.overlaps.tolist() == [0, 2, 2, 2, 0, 2, 2, 0, 2, 2, 2]
         assert doc.trigger_length == 2
 
     def test_star_overlaps_accepted(self):
-        doc = read_gfa(io.StringIO("S\ta\tACGT\nP\tp\ta+\t*\n"))
-        assert doc.paths[0][2] is None
+        doc = read_gfa(io.StringIO("S\ta\tAC\nS\tb\tGT\nP\tp\ta+,b+\t*\n"))
+        assert doc.ids.tolist() == [-1, -1]
+        assert (doc.steps.tolist(), doc.overlaps.tolist()) == ([0, 1], [0, 0])
 
     def test_reverse_orientation_rejected(self):
         with pytest.raises(FormatError) as exc:
@@ -142,10 +148,43 @@ class TestReadGfa:
             read_gfa(io.StringIO(gfa))
         assert str(exc.value) == f"line 4: {message}"
 
+    @pytest.mark.parametrize(
+        "p_line, message",
+        [
+            ("P\tp\t0+,0-\t*", "reverse-orientation step '0-' is unsupported"),
+            ("P\tp\t0+,0\t*", "malformed step '0'"),
+            ("P\tp\t0+,,0+\t*", "malformed step ''"),
+            ("P\tp\t\t*", "malformed step ''"),
+            ("P\tp\t0+,1+\t*", "path step references unknown segment '1'"),
+            ("P\tp\t0+,02+\t*", "path step references unknown segment '02'"),
+            ("P\tp\t0x+,0+\t*", "path step references unknown segment '0x'"),
+            ("P\tp\t+2+\t*", "path step references unknown segment '+2'"),
+            ("P\tp\t0+,0+\t2M,2M", "overlap count does not match step count"),
+            ("P\tp\t0+,0+,0+\t2M", "overlap count does not match step count"),
+            ("P\tp\t0+,0+\t2X", "unsupported overlap '2X'"),
+            ("P\tp\t0+,0+\t2\u00b2M", "unsupported overlap '2\u00b2M'"),
+            ("P\tp\t0+,0+\t", "unsupported overlap ''"),
+            ("P\tp\t0+", "P-record needs a name, steps and overlaps"),
+        ],
+    )
+    def test_path_errors_with_plain_ids(self, p_line, message):
+        # every segment name is a plain id, so the column reader sees the file first
+        gfa = f"H\tVN:Z:1.0\nS\t0\tAC..\nS\t2\tCA..\n{p_line}\nS\t3\tCA..\n"
+        with pytest.raises(FormatError) as exc:
+            read_gfa(io.StringIO(gfa))
+        assert str(exc.value) == f"line 4: {message}"
+
+    @pytest.mark.parametrize("sequence, letter", [("AC#G", "#"), ("AC$", "$"), ("A C", " "), ("AC\u00c9", "\u00c9")])
+    def test_reserved_letter_in_segment_rejected(self, sequence, letter):
+        with pytest.raises(FormatError) as exc:
+            read_gfa(io.StringIO(f"S\t0\tAC..\nS\t1\t{sequence}\n"))
+        assert str(exc.value) == f"line 2: reserved or invalid character {letter!r} in S-record"
+
     def test_paths_before_their_segments(self):
         doc = read_gfa(io.StringIO("P\tp\t1+,0+\t1M\nS\t0\tAC..\nS\t1\tCA\n"))
-        assert doc.paths == [("p", ["1", "0"], [1])]
-        assert doc.segments == {"0": "AC..", "1": "CA"}
+        assert doc.path_names == ["p"]
+        assert (doc.steps.tolist(), doc.overlaps.tolist()) == ([1, 0], [0, 1])
+        assert (doc.ids.tolist(), doc.join.contents()) == ([0, 1], ["AC..", "CA"])
 
     def test_unknown_segment_names_its_path_line(self):
         with pytest.raises(FormatError) as exc:
@@ -172,12 +211,44 @@ class TestReadGfa:
         assert str(exc.value) == f"line 2: {message}"
 
     def test_links_are_checked_not_kept(self):
-        doc = read_gfa(io.StringIO("S\t0\tAC..\nL\t0\t+\t0\t+\t*\nL\t0\t+\t9\t+\t2M\n"))
+        doc = read_gfa(io.StringIO("S\t0\tAC..\nL\t0\t+\t0\t+\t*\nL\t0\t+\t0\t+\t2M\n"))
         assert not hasattr(doc, "links")
+
+    @pytest.mark.parametrize("names", [("0", "1"), ("a", "b")], ids=["ids", "names"])
+    @pytest.mark.parametrize("link", ["L\t{0}\t+\t9\t+\t2M", "L\t9\t+\t{1}\t+\t2M", "L\t9\t+\t8\t+\t2M"])
+    def test_link_to_unknown_segment_rejected(self, names, link):
+        # checked once every record is read, like the steps of a path
+        gfa = "L\t{0}\t+\t{1}\t+\t2M\nS\t{0}\tAC..\nP\tp\t{0}+\t*\n" + link + "\nS\t{1}\tCA..\n"
+        with pytest.raises(FormatError) as exc:
+            read_gfa(io.StringIO(gfa.format(*names)))
+        assert str(exc.value) == "line 4: link references unknown segment '9'"
+
+    def test_first_bad_line_decides_between_links_and_paths(self):
+        links_first = "S\t0\tAC..\nL\t0\t+\t7\t+\t2M\nP\tp\t0+,9+\t2M\n"
+        with pytest.raises(FormatError, match="^line 2: link references unknown segment '7'$"):
+            read_gfa(io.StringIO(links_first))
+        paths_first = "S\t0\tAC..\nP\tp\t0+,9+\t2M\nL\t0\t+\t7\t+\t2M\n"
+        with pytest.raises(FormatError, match="^line 2: path step references unknown segment '9'$"):
+            read_gfa(io.StringIO(paths_first))
+
+    @pytest.mark.parametrize("names", [("0", "1"), ("a", "b")], ids=["ids", "names"])
+    def test_repeated_path_name_rejected(self, names):
+        gfa = "S\t{0}\tAC..\nP\tp\t{0}+\t*\nS\t{1}\tCA..\nP\tp\t{1}+\t*\n".format(*names)
+        with pytest.raises(FormatError) as exc:
+            read_gfa(io.StringIO(gfa))
+        assert str(exc.value) == "line 4: path name 'p' is repeated"
+
+    @pytest.mark.parametrize("carriage_returns", [1, 3, 100_000])
+    def test_trailing_carriage_returns_are_not_read(self, carriage_returns):
+        cr = "\r" * carriage_returns
+        text = f"H\tTL:i:2{cr}\nS\t0\tAC..{cr}\nP\tp\t0+\t*{cr}\n{cr}\n"
+        # the column reader takes the file itself
+        doc = GFA_MODULE.read_columns(text.encode())
+        assert (doc.header_tags, doc.join.contents(), doc.path_names) == ({"TL": "2"}, ["AC.."], ["p"])
 
     def test_unknown_record_types_ignored(self):
         doc = read_gfa(io.StringIO("W\twhatever\nS\t0\tACGT\n"))
-        assert doc.segments == {"0": "ACGT"}
+        assert doc.join.contents() == ["ACGT"]
 
 
 class TestExpandPaths:
@@ -191,6 +262,27 @@ class TestExpandPaths:
         doc = read_gfa(io.StringIO("S\ta\tAC\nS\tb\tGT\nP\tp\ta+,b+\t*\n"))
         pangenome = expand_gfa_paths(doc)
         assert pangenome.sequences == [("p", "ACGT")]
+
+    @pytest.mark.parametrize("group", [1, 2, 3, 1 << 16])
+    @pytest.mark.parametrize(
+        "q_line, message",
+        [
+            ("P\tq\ta+,c+,a+\t1M,1M", "path 'q' step 1: declared overlap 1 does not match the segment sequences"),
+            ("P\tq\tb+,c+,a+\t1M,4M", "path 'q' step 2: declared overlap 4 is longer than a segment it joins"),
+            ("P\tq\tb+,c+,a+,b+\t1M,1M,2M", None),
+        ],
+    )
+    def test_overlaps_checked_in_groups(self, group, q_line, message, monkeypatch):
+        # the first bad join in path order decides, whichever group it is in
+        monkeypatch.setattr(GFA_MODULE, "STEPS_PER_CHECK", group)
+        gfa = f"S\ta\tACG\nS\tb\tCGT\nS\tc\tTTA\nP\tp\ta+,b+,c+,a+\t2M,1M,1M\n{q_line}\nP\tr\tc+,a+\t1M\n"
+        doc = read_gfa(io.StringIO(gfa))
+        if message is None:
+            assert expand_gfa_paths(doc).sequences == [("p", "ACGTTACG"), ("q", "CGTTACGT"), ("r", "TTACG")]
+            return
+        with pytest.raises(FormatError) as exc:
+            expand_gfa_paths(doc)
+        assert str(exc.value) == message
 
     def test_mismatched_overlap_rejected(self):
         doc = read_gfa(io.StringIO("S\ta\tAC\nS\tb\tGT\nP\tp\ta+,b+\t1M\n"))
@@ -224,3 +316,91 @@ class TestFixedPoint:
             s.content for s in first.segments
         ]
         assert [p for _, p in second.paths] == [p for _, p in first.paths]
+
+
+# optional fields and records of types that the reader skips
+EXTRA_TAGS = ["LN:i:7", "RC:i:3", "xy:Z:some tag", "KC:f:0.5"]
+SKIPPED_LINES = ["", "W\tsample\t1\tchr1\t0\t4\t>0", "C\t0\t+\t1\t+\t0\t*", "# not a record"]
+
+
+def respell(gfa: str, rng: random.Random) -> str:
+    """Another valid spelling of ``gfa``: records shuffled but the paths
+    kept in order, some sequences in lowercase, optional fields, blank
+    lines and skipped record types added, and LF or CR/LF line ends."""
+    lines = []
+    for line in gfa.splitlines():
+        fields = line.split("\t")
+        if fields[0] == "S" and rng.random() < 0.5:
+            fields[2] = fields[2].lower()
+        if rng.random() < 0.3:
+            fields.append(rng.choice(EXTRA_TAGS))
+        lines.append("\t".join(fields))
+    lines += rng.choices(SKIPPED_LINES, k=rng.randint(0, 4))
+    paths = iter([line for line in lines if line.startswith("P")])
+    rng.shuffle(lines)
+    lines = [next(paths) if line.startswith("P") else line for line in lines]
+    end = rng.choice(["\n", "\r\n"])
+    return end.join(lines) + end
+
+
+def columns(graph):
+    join = graph.join
+    return (
+        graph.k,
+        join.text,
+        join.boundaries.tolist(),
+        join.lengths.tolist(),
+        graph.steps.tolist(),
+        graph.path_offsets.tolist(),
+        graph.path_names,
+    )
+
+
+def document_columns(doc):
+    join = doc.join
+    return (
+        doc.header_tags,
+        join.text,
+        join.boundaries.tolist(),
+        join.lengths.tolist(),
+        doc.ids.tolist(),
+        doc.steps.tolist(),
+        doc.path_offsets.tolist(),
+        doc.path_names,
+        doc.overlaps.tolist(),
+    )
+
+
+class TestSpellings:
+    """Every valid spelling of a graph's GFA reads as the same graph."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_same_columns_and_output(self, seed):
+        from pfg.cli import pfg2sa_main
+
+        rng = random.Random(3000 + seed)
+        graph = build_graph(*random_instance(rng))
+        buf = io.StringIO()
+        write_gfa(graph, buf)
+        gfa = buf.getvalue()
+        expected = io.StringIO()
+        assert pfg2sa_main(["--bwt"], stdin=io.StringIO(gfa), stdout=expected) == 0
+        for _ in range(3):
+            spelled = respell(gfa, rng)
+            assert columns(graph_from_gfa(read_gfa(io.StringIO(spelled)))) == columns(graph)
+            out = io.StringIO()
+            assert pfg2sa_main(["--bwt"], stdin=io.StringIO(spelled), stdout=out) == 0
+            assert out.getvalue() == expected.getvalue()
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_line_reader_agrees_with_column_reader(self, seed, monkeypatch):
+        rng = random.Random(4000 + seed)
+        buf = io.StringIO()
+        write_gfa(build_graph(*random_instance(rng)), buf)
+        spelled = respell(buf.getvalue(), rng)
+        # a few bytes of steps per group, so that most paths are parsed apart
+        monkeypatch.setattr(DOCUMENT_MODULE, "PATH_BYTES_PER_PARSE", 64)
+        by_columns = GFA_MODULE.read_columns(spelled.encode())
+        assert by_columns is not None
+        monkeypatch.setattr(GFA_MODULE, "read_columns", lambda data: None)
+        assert document_columns(read_gfa(io.StringIO(spelled))) == document_columns(by_columns)

@@ -6,8 +6,6 @@ import pytest
 
 from pfg import (
     Pangenome,
-    PrefixFreeGraph,
-    Segment,
     StructureError,
     TriggerSet,
     build_graph,
@@ -18,7 +16,7 @@ from pfg import (
 )
 from pfg.validation import _structural_report, check_prefix_free
 
-from conftest import proper_prefixes, random_dictionary
+from conftest import make_graph, proper_prefixes, random_dictionary
 
 VIOLATION = re.compile(
     r"segment suffixes are not prefix-free: the suffix of segment (\d+) at offset (\d+) "
@@ -94,19 +92,15 @@ class TestValidate:
         assert validate(g).errors == []
 
     def test_overlap_violation_flagged(self, graph):
-        bad = PrefixFreeGraph(
-            k=graph.k,
-            segments=graph.segments,
-            paths=[("bad", [0, 3])],  # ACAC then CAC: "AC" != "CA"
-        )
+        bad = make_graph(graph.k, graph.join.contents(), [("bad", [0, 3])])  # ACAC then CAC: "AC" != "CA"
         report = validate(bad)
         assert not report.ok
         assert any("overlap" in e for e in report.errors)
 
     def test_unsorted_segments_flagged(self, graph):
-        segs = list(graph.segments)
+        segs = graph.join.contents()
         segs[0], segs[1] = segs[1], segs[0]
-        report = validate(PrefixFreeGraph(k=2, segments=segs, paths=graph.paths))
+        report = validate(make_graph(2, segs, graph.paths))
         assert not report.ok
 
     def test_not_prefix_free_is_one_error(self):
@@ -196,7 +190,7 @@ class TestStructuralReport:
             ("pad twice", [2, 2]),
             ("lone pad", [2]),
         ]
-        bad = PrefixFreeGraph(k=2, segments=graph.segments, paths=paths)
+        bad = make_graph(2, graph.join.contents(), paths)
         assert errors(bad) == [
             "path 1 ('empty') is empty",
             "path 2 step 1 references unknown segment 6",
@@ -211,7 +205,7 @@ class TestStructuralReport:
         ]
 
     def test_unknown_ids_without_segments(self):
-        g = PrefixFreeGraph(k=2, segments=[], paths=[("p", [0, 1]), ("q", [])])
+        g = make_graph(2, [], [("p", [0, 1]), ("q", [])])
         assert errors(g) == [
             "path 0 step 0 references unknown segment 0",
             "path 0 step 1 references unknown segment 1",
@@ -219,15 +213,7 @@ class TestStructuralReport:
         ]
 
     def test_segment_messages_in_order(self):
-        segments = [
-            Segment("CA"),
-            Segment("AC"),
-            Segment("AC.."),
-            Segment("C.A.."),
-            Segment("G"),
-            Segment("GA."),
-        ]
-        g = PrefixFreeGraph(k=2, segments=segments, paths=[])
+        g = make_graph(2, ["CA", "AC", "AC..", "C.A..", "G", "GA."], [])
         assert errors(g) == [
             "segments 0 and 1 not in strict lexicographic order",
             "segment 3 has misplaced pad characters",
@@ -238,8 +224,7 @@ class TestStructuralReport:
     def test_overlaps_of_segments_shorter_than_k(self):
         # with k = 3, "AC" overlaps itself as a whole: each side of the
         # comparison is whatever of its k letters the segment has
-        segments = [Segment("AC"), Segment("C...")]
-        g = PrefixFreeGraph(k=3, segments=segments, paths=[("a", [0, 0, 1]), ("b", [1])])
+        g = make_graph(3, ["AC", "C..."], [("a", [0, 0, 1]), ("b", [1])])
         assert errors(g) == [
             "segment 0 shorter than k",
             "path 0 step 2: adjacent segments do not overlap by k",
@@ -248,8 +233,7 @@ class TestStructuralReport:
     def test_end_pads_count_from_the_end(self):
         # the last segment needs k trailing pads, and a padded segment
         # anywhere but last is reported once per step
-        segments = [Segment("AC"), Segment("AC.."), Segment("C.")]
-        g = PrefixFreeGraph(k=2, segments=segments, paths=[("a", [0, 2]), ("b", [1, 1, 1])])
+        g = make_graph(2, ["AC", "AC..", "C."], [("a", [0, 2]), ("b", [1, 1, 1])])
         assert errors(g) == [
             "segment 2 has misplaced pad characters",
             "path 0 step 1: adjacent segments do not overlap by k",

@@ -133,8 +133,8 @@ class TestChecks:
             assert bool(streamed) == bool(proper_prefixes(g))
             if batches is not None:
                 # the blocks the stream merges hold equal segment suffixes
-                kept, block_start = mark_blocks(suffix_table, g.lengths, k)
-                suffix_len = g.lengths[suffix_table.seg_id[kept]] - suffix_table.pos[kept]
+                kept, block_start = mark_blocks(suffix_table, g.join.lengths, k)
+                suffix_len = g.join.lengths[suffix_table.seg_id[kept]] - suffix_table.pos[kept]
                 block = np.cumsum(block_start[kept])
                 assert (suffix_len[1:] == suffix_len[:-1])[block[1:] == block[:-1]].all()
 

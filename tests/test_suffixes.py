@@ -225,8 +225,8 @@ class TestSuffixTable:
         table = build_suffix_table(graph)
         for i in range(len(table)):
             sid, pos = table.seg_id[i], table.pos[i]
-            if sid < len(graph.segments) and pos < len(graph.content(sid)):
-                assert chr(join.text[table.sa[i]]) == graph.content(sid)[pos]
+            if sid < len(join.lengths) and pos < join.lengths[sid]:
+                assert chr(join.text[table.sa[i]]) == join.content(sid)[pos]
 
     @pytest.mark.parametrize("k", range(1, 10))
     def test_runs_match_the_full_suffix_array(self, k):
