@@ -82,12 +82,13 @@ def _read(path, stdin, reader):
     """``reader`` applied to the file at ``path``, or to stdin without one.
 
     Both are decoded as strict UTF-8 whatever the locale, so a byte that is
-    not UTF-8 fails the same way on either.
+    not UTF-8 fails the same way on either, and neither translates line
+    ends, so a carriage return inside a record reaches the reader.
     """
     if path is not None:
-        with open(path, encoding="utf-8") as source:
+        with open(path, encoding="utf-8", newline="") as source:
             return reader(source)
-    return reader(stdin or io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8"))
+    return reader(stdin or io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8", newline=""))
 
 
 def _fasta2pfg(args, stdin, stdout, stderr):

@@ -3,10 +3,9 @@
 Graphs are written with pad dots included in the S-lines and the trigger
 length recorded as a ``TL`` header tag, so a GFA file alone fully
 determines the graph and its joins.  Reverse orientations and GFA 2.0 are
-unsupported.  ``read_gfa`` reads a file into a columnar ``GfaDocument``,
-with numpy when it can (``document.read_columns``) and line by line
-otherwise (``lines.read_lines``); ``graph_from_gfa`` and
-``expand_gfa_paths`` turn a document into a graph or into sequences.
+unsupported.  ``read_gfa`` reads a file into a columnar ``GfaDocument``
+(``document.read_columns``); ``graph_from_gfa`` and ``expand_gfa_paths``
+turn a document into a graph or into sequences.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ import numpy as np
 from .document import GfaDocument, read_columns
 from .errors import FormatError, StructureError
 from .graph import PAD, Pangenome, PrefixFreeGraph, SegmentJoin
-from .lines import read_lines
 from .validation import _structural_report
 
 
@@ -62,21 +60,22 @@ def write_gfa(graph: PrefixFreeGraph, sink) -> None:
 
 def read_gfa(stream) -> GfaDocument:
     """Tolerant GFA parse of a text stream: unknown record types are
-    ignored, and records may come in any order.  L-records are checked but
-    not kept."""
+    ignored, records may come in any order, and segment names may be any
+    strings.  L-records are checked but not kept."""
     data = stream.read().encode("utf-8")
     if not data.endswith(b"\n"):
         data += b"\n"
-    doc = read_columns(data)
-    return doc if doc is not None else read_lines(data.decode("utf-8"))
+    return read_columns(data)
 
 
 def expand_gfa_paths(doc: GfaDocument) -> Pangenome:
     """Expand each path by overlap-eliding concatenation; strip trailing pads.
 
-    Declared overlaps must agree with the actual segment sequences, and
-    none may be longer than a segment it joins.
+    There must be a path.  Declared overlaps must agree with the actual
+    segment sequences, and none may be longer than a segment it joins.
     """
+    if not doc.path_names:
+        raise FormatError("no P-records found")
     text, starts, lengths = doc.join.text, doc.join.boundaries, doc.join.lengths
     steps, offsets, overlaps = doc.steps, doc.path_offsets, doc.overlaps
     first_bad = _first_bad_join(doc)

@@ -1,13 +1,15 @@
-"""Lines, fields and numbers of a text as numpy columns.
+"""Lines, fields, tokens, numbers and names of a text as numpy columns.
 
-The text is one byte buffer.  Its lines, their tab-separated fields and
-decimal numbers in them are found with whole-buffer numpy operations, so
-no Python object is made per line or per number.
+The text is one byte buffer.  Its lines, their tab- and comma-separated
+fields, and decimal numbers and names in them are found with whole-buffer
+numpy operations, so no Python object is made per line or per number.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .errors import FormatError
 
 _TAB, _NEWLINE, _CR, _COMMA, _ZERO = b"\t\n\r,0"
 # a number of at most this many digits fits an int64
@@ -55,29 +57,27 @@ def decimals(buf: np.ndarray, begins: np.ndarray, ends: np.ndarray, leading_zero
     return values
 
 
-def number_lists(buf: np.ndarray, begins: np.ndarray, ends: np.ndarray, suffix: int, leading_zeros: bool):
-    """The numbers and per-field counts of fields ``buf[begins[i]:ends[i]]``
-    that each read ``N<suffix>,N<suffix>,...``, every N as :func:`decimals`
-    takes it; None if any field has another form."""
-    # the fields, each with the byte after it made a comma
+def comma_lists(buf: np.ndarray, begins: np.ndarray, ends: np.ndarray):
+    """``(fields, token_begins, token_ends, counts)``: the fields
+    ``buf[begins[i]:ends[i]]`` one after another, each ended by a comma, the
+    bounds of their comma-separated tokens, and each field's token count."""
     fields = gather(buf, begins, ends + 1)
     field_ends = np.cumsum(ends - begins + 1) - 1
     fields[field_ends] = _COMMA
-    cuts = np.flatnonzero(fields == _COMMA)
-    if np.count_nonzero(fields == suffix) != len(cuts) or (fields[cuts - 1] != suffix).any():
-        return None
-    counts = np.diff(np.searchsorted(cuts, field_ends), prepend=-1)
-    # one token over and over, as in a path's overlaps, is read once
-    period = int(cuts[0]) + 1 if len(cuts) else 0
-    if period and np.array_equal(fields[period:], fields[:-period]):
-        values = np.repeat(decimals(fields, cuts[:1] - period + 1, cuts[:1] - 1, leading_zeros), len(cuts))
-    else:
-        token_begins = np.zeros_like(cuts)
-        token_begins[1:] = cuts[:-1] + 1
-        values = decimals(fields, token_begins, cuts - 1, leading_zeros)
-    if (values < 0).any():
-        return None
-    return values, counts
+    token_ends = np.flatnonzero(fields == _COMMA)
+    counts = np.diff(np.searchsorted(token_ends, field_ends), prepend=-1)
+    return fields, np.append(0, token_ends + 1)[:-1], token_ends, counts
+
+
+def name_keys(buf: np.ndarray, begins: np.ndarray, ends: np.ndarray, words: int) -> np.ndarray:
+    """Each name ``buf[begins[i]:ends[i]]`` of fewer than ``8 * words`` bytes as
+    ``words`` 64-bit words, its bytes, a 1 and NULs, equal exactly when names are."""
+    lengths = ends - begins
+    matrix = np.zeros((len(begins), 8 * words), dtype=np.uint8)
+    for place in range(int(lengths.max(initial=0))):
+        matrix[:, place] = buf[np.minimum(begins + place, len(buf) - 1)] * (lengths > place)
+    matrix[np.arange(len(begins)), lengths] = 1
+    return matrix.view(np.uint64)
 
 
 class Records:
@@ -121,3 +121,24 @@ class Records:
 
     def fields(self, row: int) -> list[str]:
         return self.text(self.starts[row], self.ends[row]).split("\t")
+
+
+def first(mask: np.ndarray) -> int:
+    """The index of the first true entry of ``mask``, or its length if none is."""
+    return int(np.argmax(mask)) if mask.any() else len(mask)
+
+
+class Failures(list):
+    """The first record to fail each check, as its row and the message for
+    its fields, in the order a record's checks run."""
+
+    def check(self, rows: np.ndarray, at: int, message) -> None:
+        """Note ``rows[at]``, unless ``at`` is ``len(rows)``: no record failed."""
+        if at < len(rows):
+            self.append((int(rows[at]), message))
+
+    def raise_first(self, records: Records) -> None:
+        """Raise the error of the earliest noted record, if any."""
+        if self:
+            row, message = min(self, key=lambda failure: failure[0])
+            raise FormatError(message(records.fields(row)), line=row + 1)

@@ -147,3 +147,19 @@ def proper_prefixes(graph: PrefixFreeGraph) -> list[tuple[int, int, int, int]]:
         for b, q, t in suffixes
         if len(t) > len(s) and t.startswith(s)
     ]
+
+
+def rename_segments(gfa: str, name) -> str:
+    """``gfa`` with each segment id ``i`` in its S-, L- and P-records
+    replaced by ``name(i)``, ``i`` as written."""
+    lines = []
+    for line in gfa.split("\n"):
+        fields = line.split("\t")
+        if fields[0] == "S":
+            fields[1] = name(fields[1])
+        elif fields[0] == "L":
+            fields[1], fields[3] = name(fields[1]), name(fields[3])
+        elif fields[0] == "P":
+            fields[2] = ",".join(name(step[:-1]) + step[-1] for step in fields[2].split(","))
+        lines.append("\t".join(fields))
+    return "\n".join(lines)

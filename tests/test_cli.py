@@ -23,7 +23,7 @@ from pfg import (
 from pfg.cli import fasta2pfg_main, gfa2pfg_main, pfg2sa_main
 from pfg.stream import emission_batches
 
-from conftest import make_graph
+from conftest import make_graph, rename_segments
 
 FASTA = ">s1\nCACGTACT\n>s2\nCACACT\n>s3\nCACGACT\n"
 # the package exports the function ``stream`` under the module's name
@@ -135,6 +135,16 @@ class TestFasta2Pfg:
         assert status == 0
         assert out
 
+    def test_carriage_returns_end_lines_in_a_file(self, trigger_file, tmp_path):
+        # a lone CR ends a FASTA line too, so line numbers stay the same
+        path = tmp_path / "input.fa"
+        argv = ["-t", trigger_file, str(path)]
+        for end in ["\r", "\r\n"]:
+            path.write_bytes(FASTA.replace("\n", end).encode())
+            assert run(fasta2pfg_main, argv) == run(fasta2pfg_main, ["-t", trigger_file], FASTA)
+            path.write_bytes(f">x{end}AC{end}A#T{end}".encode())
+            assert run(fasta2pfg_main, argv) == (1, "", "fasta2pfg: line 3: reserved or invalid character '#'\n")
+
     def test_deterministic(self, trigger_file):
         first = run(fasta2pfg_main, ["-t", trigger_file], FASTA)
         second = run(fasta2pfg_main, ["-t", trigger_file], FASTA)
@@ -170,6 +180,25 @@ class TestGfa2Pfg:
         status, out, err = run(gfa2pfg_main, ["-t", trigger_file], gfa.replace("10M", "3M"))
         assert (status, err) == (0, "")
         assert [l for l in out.splitlines() if l.startswith("P")] == ["P\tp\t0+,1+\t2M"]
+
+    @pytest.mark.parametrize(
+        "gfa",
+        ["", "H\tVN:Z:1.0\tTL:i:2\nS\t0\tACGT\n", "H\tVN:Z:1.1\nS\t0\tACGT\nW\tsample\t1\tchr1\t0\t4\t>0\n"],
+        ids=["empty", "segments-only", "walks-only"],
+    )
+    def test_no_paths_fails(self, trigger_file, gfa):
+        assert run(gfa2pfg_main, ["-t", trigger_file], gfa) == (1, "", "gfa2pfg: no P-records found\n")
+
+    @pytest.mark.parametrize(
+        "name",
+        [lambda i: f"s{i}", lambda i: f"\u00e9 segment {i} of the graph"],
+        ids=["short", "long-non-ascii"],
+    )
+    def test_renamed_segments_give_the_same_output(self, trigger_file, running_gfa, wide_gfa, name):
+        for gfa in (running_gfa, wide_gfa):
+            expected = run(gfa2pfg_main, ["-t", trigger_file], gfa)
+            assert expected[0] == 0
+            assert run(gfa2pfg_main, ["-t", trigger_file], rename_segments(gfa, name)) == expected
 
     def test_reverse_orientation_fails(self, trigger_file):
         gfa = "S\ta\tCACG\nP\ts1\ta-\t*\n"
@@ -449,6 +478,26 @@ class TestBoundary:
         stderr = io.StringIO()
         status = MAINS[tool](argv, stdin=io.StringIO(text), stdout=ClosedPipe(), stderr=stderr)
         assert (status, stderr.getvalue()) == (141, "")
+
+    @pytest.mark.parametrize("tool", ["gfa2pfg", "pfg2sa"])
+    @pytest.mark.parametrize("via", ["file", "stdin"])
+    def test_carriage_return_inside_a_segment_fails(self, tool, via, trigger_file, tmp_path):
+        # read with universal newlines, the CR would end the line and cut the segment to AC..
+        gfa = b"H\tVN:Z:1.0\tTL:i:2\nS\t0\tAC..\rGT\nP\tp\t0+\t*\n"
+        argv = ["-t", trigger_file] if tool == "gfa2pfg" else []
+        if via == "file":
+            (tmp_path / "input.gfa").write_bytes(gfa)
+            argv.append(str(tmp_path / "input.gfa"))
+        code = f"import sys; from pfg.cli import {tool}_main as main; sys.exit(main())"
+        result = subprocess.run(
+            [sys.executable, "-c", code, *argv],
+            input=gfa if via == "stdin" else b"",
+            capture_output=True,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            timeout=60,
+        )
+        assert (result.returncode, result.stdout) == (1, b"")
+        assert result.stderr.decode() == f"{tool}: line 2: reserved or invalid character '\\r' in S-record\n"
 
     def test_pipe_into_head(self, wide_gfa, wide_lines, tmp_path):
         # about 240 kB of output, more than a pipe holds, so writes go on

@@ -1,6 +1,11 @@
 import importlib
 import io
+import os
 import random
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -13,10 +18,11 @@ from pfg import (
     write_gfa,
 )
 
-from conftest import random_instance
+from conftest import random_instance, rename_segments
 
 GFA_MODULE = importlib.import_module("pfg.gfa")
-DOCUMENT_MODULE = importlib.import_module("pfg.document")
+PATHS_MODULE = importlib.import_module("pfg.paths")
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def roundtrip(graph):
@@ -114,6 +120,57 @@ class TestReadGfa:
         doc = read_gfa(io.StringIO("S\ta\tAC\nS\tb\tGT\nP\tp\ta+,b+\t*\n"))
         assert doc.ids.tolist() == [-1, -1]
         assert (doc.steps.tolist(), doc.overlaps.tolist()) == ([0, 1], [0, 0])
+
+    @pytest.mark.parametrize(
+        "names",
+        [
+            ("a", "b"),
+            ("segment_10", "segment_9"),  # longer than 8 bytes
+            ("chromosome_1_segment_10", "chromosome_1_segment_9"),  # longer than 18 bytes
+            ("\u00e9", "\u540d\u524d"),  # non-ASCII UTF-8
+            ("a", "a\0"),  # apart only by a trailing NUL
+            ("", "0"),
+            ("1", "0"),
+        ],
+    )
+    def test_segment_names_of_any_form(self, names):
+        a, b = names
+        gfa = f"S\t{a}\tACG\nS\t{b}\tCGT\nL\t{b}\t+\t{a}\t+\t*\nP\t{b}\t{b}+,{a}+,{b}+\t2M,*\n"
+        doc = read_gfa(io.StringIO(gfa))
+        assert (doc.path_names, doc.join.contents()) == ([b], ["ACG", "CGT"])
+        # a * among the overlaps of a path declares none
+        assert (doc.steps.tolist(), doc.overlaps.tolist()) == ([1, 0, 1], [0, 2, 0])
+
+    def test_a_long_segment_name_widens_no_other_key(self):
+        def peak(names):
+            steps = "+,".join(names[:1000] * 20)
+            gfa = "".join(f"S\t{name}\tAC\n" for name in names) + f"P\tp\t{steps}+\t*\n"
+            tracemalloc.start()
+            try:
+                read_gfa(io.StringIO(gfa))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        names = [f"s{i}" for i in range(1000)]
+        # keyed as wide as the longest name, the 20 k steps would take 80 MB
+        assert peak(names + ["x" * 4000]) < 1.5 * peak(names)
+
+    def test_segment_name_with_a_comma(self):
+        # a link may name it; a step cannot, as steps split at commas
+        doc = read_gfa(io.StringIO("S\ta,b\tAC\nL\ta,b\t+\ta,b\t+\t*\n"))
+        assert (doc.ids.tolist(), doc.join.contents()) == ([-1], ["AC"])
+
+    @pytest.mark.parametrize("seed", range(1, 7))
+    def test_first_bad_overlap_token_decides(self, seed):
+        # in field order, whatever order the hash seed gives a set of tokens
+        gfa = "S\ta\tAC..\nP\tp\ta+,a+,a+\t2X,3Y\n"
+        code = "\n".join(
+            ["import io, pfg", "try:", f" pfg.read_gfa(io.StringIO({gfa!r}))", "except pfg.FormatError as e:", " print(e)"]
+        )
+        env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED=str(seed))
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+        assert (result.returncode, result.stdout) == (0, "line 2: unsupported overlap '2X'\n")
 
     def test_reverse_orientation_rejected(self):
         with pytest.raises(FormatError) as exc:
@@ -269,6 +326,15 @@ class TestExpandPaths:
         [
             ("P\tq\ta+,c+,a+\t1M,1M", "path 'q' step 1: declared overlap 1 does not match the segment sequences"),
             ("P\tq\tb+,c+,a+\t1M,4M", "path 'q' step 2: declared overlap 4 is longer than a segment it joins"),
+            # more digits than int64 holds, then 19 digits that it holds
+            (
+                "P\tq\tb+,c+,a+\t1M,99999999999999999999M",
+                "path 'q' step 2: declared overlap 9223372036854775807 is longer than a segment it joins",
+            ),
+            (
+                "P\tq\tb+,c+,a+\t1M,0001000000000000000000M",
+                "path 'q' step 2: declared overlap 1000000000000000000 is longer than a segment it joins",
+            ),
             ("P\tq\tb+,c+,a+,b+\t1M,1M,2M", None),
         ],
     )
@@ -394,13 +460,23 @@ class TestSpellings:
 
     @pytest.mark.parametrize("seed", range(12))
     def test_line_reader_agrees_with_column_reader(self, seed, monkeypatch):
+        """A spelling with its segments renamed reads as the decimal-named
+        one does, but that no name is an id."""
         rng = random.Random(4000 + seed)
+        graph = build_graph(*random_instance(rng))
         buf = io.StringIO()
-        write_gfa(build_graph(*random_instance(rng)), buf)
+        write_gfa(graph, buf)
         spelled = respell(buf.getvalue(), rng)
+        # names of one 64-bit key word, or of several, some not ASCII
+        if seed % 2:
+            renamed = rename_segments(spelled, lambda i: f"\u00e9{i}" if int(i) % 3 else f"segment {i} of the graph")
+        else:
+            renamed = rename_segments(spelled, lambda i: f"s{i}")
         # a few bytes of steps per group, so that most paths are parsed apart
-        monkeypatch.setattr(DOCUMENT_MODULE, "PATH_BYTES_PER_PARSE", 64)
-        by_columns = GFA_MODULE.read_columns(spelled.encode())
-        assert by_columns is not None
-        monkeypatch.setattr(GFA_MODULE, "read_columns", lambda data: None)
-        assert document_columns(read_gfa(io.StringIO(spelled))) == document_columns(by_columns)
+        monkeypatch.setattr(PATHS_MODULE, "PATH_BYTES_PER_PARSE", 64)
+        by_ids = read_gfa(io.StringIO(spelled))
+        assert columns(graph_from_gfa(by_ids)) == columns(graph)
+        by_names = read_gfa(io.StringIO(renamed))
+        assert by_names.ids.tolist() == [-1] * len(by_ids.ids)
+        by_names.ids = by_ids.ids
+        assert document_columns(by_names) == document_columns(by_ids)
