@@ -1,58 +1,56 @@
 """Prefix-free graphs: compressed pangenome representation with streaming
-suffix-array iteration."""
+suffix-array iteration.
 
-from .automaton import TriggerSet, compile_triggers
-from .errors import ConfigError, FormatError, PfgError, StructureError
-from .fasta import read_fasta, read_triggers
-from .document import GfaDocument
-from .gfa import expand_gfa_paths, graph_from_gfa, read_gfa, write_gfa
-from .graph import (
-    PAD,
-    SENTINEL,
-    SEPARATOR,
-    Pangenome,
-    PrefixFreeGraph,
-    SegmentJoin,
-    normalize,
-    reconstruct,
-)
-from .occurrences import SegmentTable, build_path_join, build_segment_table
-from .partition import build_graph, partition_sequence
-from .stream import Emission, stream
-from .suffixes import SuffixTable, build_join, build_suffix_table
-from .validation import validate
+No submodule is imported here.  Each public name loads its module on first
+access (PEP 562), so a tool compiles and runs only the modules it uses.
+"""
 
-__all__ = [
-    "ConfigError",
-    "Emission",
-    "FormatError",
-    "GfaDocument",
-    "PAD",
-    "Pangenome",
-    "PfgError",
-    "PrefixFreeGraph",
-    "SENTINEL",
-    "SEPARATOR",
-    "SegmentJoin",
-    "SegmentTable",
-    "StructureError",
-    "SuffixTable",
-    "TriggerSet",
-    "build_graph",
-    "build_join",
-    "build_path_join",
-    "build_segment_table",
-    "build_suffix_table",
-    "compile_triggers",
-    "expand_gfa_paths",
-    "graph_from_gfa",
-    "normalize",
-    "partition_sequence",
-    "read_fasta",
-    "read_gfa",
-    "read_triggers",
-    "reconstruct",
-    "stream",
-    "validate",
-    "write_gfa",
-]
+from importlib import import_module
+
+# each public name, in __all__ order, and the module that defines it
+_MODULE_OF = {
+    "ConfigError": "errors",
+    "Emission": "emission",
+    "FormatError": "errors",
+    "GfaDocument": "document",
+    "PAD": "graph",
+    "Pangenome": "graph",
+    "PfgError": "errors",
+    "PrefixFreeGraph": "graph",
+    "SENTINEL": "graph",
+    "SEPARATOR": "graph",
+    "SegmentJoin": "graph",
+    "SegmentTable": "occurrences",
+    "StructureError": "errors",
+    "SuffixTable": "suffixes",
+    "TriggerSet": "automaton",
+    "build_graph": "partition",
+    "build_join": "suffixes",
+    "build_path_join": "occurrences",
+    "build_segment_table": "occurrences",
+    "build_suffix_table": "suffixes",
+    "compile_triggers": "automaton",
+    "expand_gfa_paths": "gfa",
+    "graph_from_gfa": "gfa",
+    "normalize": "graph",
+    "partition_sequence": "partition",
+    "read_fasta": "fasta",
+    "read_gfa": "gfa",
+    "read_triggers": "fasta",
+    "reconstruct": "graph",
+    "stream": "emission",
+    "validate": "validation",
+    "write_gfa": "gfa",
+}
+
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name):
+    """The public ``name``, from its module; kept here once it is loaded."""
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+    globals()[name] = value
+    return value
+

@@ -8,8 +8,6 @@ automaton is needed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigError
@@ -26,12 +24,12 @@ _PACKED_LETTERS = 8
 _HASH_BASE = 0x9E3779B97F4A7C15
 
 
-@dataclass(frozen=True)
 class TriggerSet:
     """A deduplicated set of trigger words sharing a common length k."""
 
-    words: tuple[str, ...]
-    k: int
+    def __init__(self, words: tuple[str, ...], k: int):
+        self.words = words
+        self.k = k
 
     @classmethod
     def from_words(cls, words) -> "TriggerSet":

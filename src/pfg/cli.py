@@ -12,19 +12,23 @@ import argparse
 import io
 import os
 import sys
+from typing import TYPE_CHECKING
 
 import numpy as np
 
+# _pfg2sa calls read_gfa, graph_from_gfa, build_suffix_table and
+# build_segment_table as globals of this module, where a caller may wrap
+# them.  A module that only some tools run is imported inside the code
+# that runs it, so the other tools never load it.
 from .errors import PfgError, StructureError
-from .fasta import read_fasta, read_triggers
 from .gfa import expand_gfa_paths, graph_from_gfa, read_gfa, write_gfa
 from .graph import Pangenome, reconstruct
 from .occurrences import build_segment_table
-from .oracle import MAX_ORACLE_BYTES, oracle_bwt, oracle_sa
-from .partition import build_graph
-from .stream import Batch, emission_batches
 from .suffixes import build_suffix_table
 from .validation import validate
+
+if TYPE_CHECKING:
+    from .emission import Batch
 
 
 def _builder_parser(prog, description):
@@ -35,6 +39,9 @@ def _builder_parser(prog, description):
 
 
 def _run_builder(pangenome, args, stdout):
+    from .fasta import read_triggers
+    from .partition import build_graph
+
     with open(args.triggers, encoding="utf-8") as fh:
         triggers = read_triggers(fh)
     graph = build_graph(pangenome, triggers)
@@ -92,6 +99,8 @@ def _read(path, stdin, reader):
 
 
 def _fasta2pfg(args, stdin, stdout, stderr):
+    from .fasta import read_fasta
+
     return _run_builder(_read(args.input, stdin, read_fasta), args, stdout)
 
 
@@ -152,11 +161,15 @@ def _format_batch(batch: Batch) -> str:
 
 
 def _pfg2sa(args, stdin, stdout, stderr):
+    from .emission import emission_batches
+
     graph = graph_from_gfa(_read(args.input, stdin, read_gfa))
     suffix_table = build_suffix_table(graph)
     segment_table = build_segment_table(graph)
     batches = emission_batches(graph, suffix_table, segment_table, with_bwt=args.bwt or args.verify)
     if args.verify:
+        from .oracle import MAX_ORACLE_BYTES, oracle_bwt, oracle_sa
+
         pangenome = Pangenome(sequences=[(name, reconstruct(graph, j)) for j, name in enumerate(graph.path_names)])
         if pangenome.total_length > MAX_ORACLE_BYTES:
             print("pfg2sa: --verify is limited to small inputs", file=stderr)

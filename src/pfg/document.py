@@ -8,7 +8,6 @@ a check is found from the masks the checks compute.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +20,6 @@ from .records import Failures, Records, first, gather
 _LOWEST_LETTER, _HIGHEST_LETTER = ord(PAD), ord("~")
 
 
-@dataclass
 class GfaDocument:
     """A GFA file's records as columns.
 
@@ -34,13 +32,23 @@ class GfaDocument:
     first step and on a path whose overlap field is ``*``.
     """
 
-    header_tags: dict[str, str]
-    join: SegmentJoin
-    ids: np.ndarray  # int64
-    steps: np.ndarray  # int32
-    path_offsets: np.ndarray  # int64, one more than the path count
-    path_names: list[str]
-    overlaps: np.ndarray  # int64, one per step
+    def __init__(
+        self,
+        header_tags: dict[str, str],
+        join: SegmentJoin,
+        ids: np.ndarray,
+        steps: np.ndarray,
+        path_offsets: np.ndarray,
+        path_names: list[str],
+        overlaps: np.ndarray,
+    ):
+        self.header_tags = header_tags
+        self.join = join
+        self.ids = ids  # int64
+        self.steps = steps  # int32
+        self.path_offsets = path_offsets  # int64, one more than the path count
+        self.path_names = path_names
+        self.overlaps = overlaps  # int64, one per step
 
     @property
     def trigger_length(self) -> int | None:

@@ -11,13 +11,16 @@ turn a document into a graph or into sequences.
 from __future__ import annotations
 
 from itertools import chain, islice
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .document import GfaDocument, read_columns
 from .errors import FormatError, StructureError
 from .graph import PAD, Pangenome, PrefixFreeGraph, SegmentJoin
 from .validation import _structural_report
+
+if TYPE_CHECKING:
+    from .document import GfaDocument
 
 
 # Path steps per group when gfa2pfg checks the declared overlaps.
@@ -62,6 +65,9 @@ def read_gfa(stream) -> GfaDocument:
     """Tolerant GFA parse of a text stream: unknown record types are
     ignored, records may come in any order, and segment names may be any
     strings.  L-records are checked but not kept."""
+    # loaded on the first read, so that fasta2pfg never loads the reader
+    from .document import read_columns
+
     data = stream.read().encode("utf-8")
     if not data.endswith(b"\n"):
         data += b"\n"

@@ -10,7 +10,6 @@ characters.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -29,7 +28,8 @@ RESERVED = (SENTINEL, SEPARATOR, PAD)  # in rank order
 # letter in the joins.
 _MIN_INPUT = ord(PAD)
 _MAX_INPUT = ord("~")
-_INVALID_INPUT = re.compile(f"[^{chr(_MIN_INPUT + 1)}-{chr(_MAX_INPUT)}]")
+_LETTERS = bytes(range(_MIN_INPUT + 1, _MAX_INPUT + 1))
+_INVALID_INPUT = f"[^{chr(_MIN_INPUT + 1)}-{chr(_MAX_INPUT)}]"
 
 
 def char_rank(c: str) -> int:
@@ -38,8 +38,15 @@ def char_rank(c: str) -> int:
 
 
 def invalid_letter(data: str) -> str | None:
-    """The first character of ``data`` outside the input alphabet, or None."""
-    match = _INVALID_INPUT.search(data)
+    """The first character of ``data`` outside the input alphabet, or None.
+
+    A text has none when it is ASCII and deleting every letter from its
+    bytes leaves nothing, a test that runs in C.  Only a text that fails it
+    is searched, with a regex, for the character to name.
+    """
+    if data.isascii() and not data.encode("ascii").translate(None, _LETTERS):
+        return None
+    match = re.search(_INVALID_INPUT, data)
     return match.group() if match else None
 
 
@@ -52,35 +59,33 @@ def check_sequence(data: str) -> None:
         raise StructureError(f"reserved or invalid character {bad!r} in sequence")
 
 
-@dataclass
 class Pangenome:
     """An ordered collection of named sequences analyzed jointly."""
 
-    sequences: list[tuple[str, str]]
-
-    def __post_init__(self):
-        for _, data in self.sequences:
+    def __init__(self, sequences: list[tuple[str, str]]):
+        for _, data in sequences:
             check_sequence(data)
+        self.sequences = sequences
 
     @property
     def total_length(self) -> int:
         return sum(len(data) for _, data in self.sequences)
 
 
-@dataclass(frozen=True)
 class Segment:
     """One segment of a graph's ``segments`` view; its id is its index there."""
 
-    content: str
+    def __init__(self, content: str):
+        self.content = content
 
 
-@dataclass
 class SegmentJoin:
     """All segment contents concatenated with separators and a sentinel."""
 
-    text: bytes
-    boundaries: np.ndarray  # int64 start offset of each segment in text
-    lengths: np.ndarray  # int64 length of each segment, pads included
+    def __init__(self, text: bytes, boundaries: np.ndarray, lengths: np.ndarray):
+        self.text = text
+        self.boundaries = boundaries  # int64 start offset of each segment in text
+        self.lengths = lengths  # int64 length of each segment, pads included
 
     @classmethod
     def of(cls, contents: list[str]) -> SegmentJoin:
@@ -104,7 +109,6 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-@dataclass(eq=False)
 class PrefixFreeGraph:
     """Segments and ID-paths, held as columns only.
 
@@ -115,15 +119,16 @@ class PrefixFreeGraph:
     are read-only.
     """
 
-    k: int
-    join: SegmentJoin
-    steps: np.ndarray  # int32 segment id of every path step, in path order
-    path_offsets: np.ndarray  # int64, one more than the path count
-    path_names: list[str]
-
-    def __post_init__(self):
-        for array in (self.join.boundaries, self.join.lengths, self.steps, self.path_offsets):
+    def __init__(
+        self, k: int, join: SegmentJoin, steps: np.ndarray, path_offsets: np.ndarray, path_names: list[str]
+    ):
+        for array in (join.boundaries, join.lengths, steps, path_offsets):
             _read_only(array)
+        self.k = k
+        self.join = join
+        self.steps = steps  # int32 segment id of every path step, in path order
+        self.path_offsets = path_offsets  # int64, one more than the path count
+        self.path_names = path_names
 
     @property
     def segments(self) -> list[Segment]:

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .graph import SENTINEL, PrefixFreeGraph
@@ -14,7 +12,6 @@ SEP = 1  # delimits paths; below every segment id
 _ID_BASE = 2  # segment id i is stored as symbol i + 2
 
 
-@dataclass
 class SegmentTable:
     """Occurrence columns in CSR layout, one group per segment.
 
@@ -22,11 +19,15 @@ class SegmentTable:
     of ``start``, ``rank`` and ``prev``, sorted ascending by rank.
     """
 
-    lengths: np.ndarray  # the graph's int64 segment lengths, pads included
-    offsets: np.ndarray  # int64, one more than the segment count
-    start: np.ndarray  # int64 pangenome offset
-    rank: np.ndarray  # right-context rank (ISA of the following join position), int32 below 2**31 symbols
-    prev: np.ndarray  # uint8 preceding pangenome byte, SENTINEL at sequence starts
+    def __init__(
+        self, lengths: np.ndarray, offsets: np.ndarray, start: np.ndarray, rank: np.ndarray, prev: np.ndarray
+    ):
+        self.lengths = lengths  # the graph's int64 segment lengths, pads included
+        self.offsets = offsets  # int64, one more than the segment count
+        self.start = start  # int64 pangenome offset
+        # right-context rank (ISA of the following join position), int32 below 2**31 symbols
+        self.rank = rank
+        self.prev = prev  # uint8 preceding pangenome byte, SENTINEL at sequence starts
 
 
 def build_path_join(graph: PrefixFreeGraph) -> np.ndarray:

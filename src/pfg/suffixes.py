@@ -4,8 +4,6 @@ a text's full suffix array and its LCP."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .graph import SENTINEL, SEPARATOR, PrefixFreeGraph, SegmentJoin, char_rank
@@ -13,16 +11,16 @@ from .graph import SENTINEL, SEPARATOR, PrefixFreeGraph, SegmentJoin, char_rank
 _RANK_LUT = np.array([char_rank(chr(b)) for b in range(256)], dtype=np.uint16)
 
 
-@dataclass
 class SuffixTable:
     """Parallel columns over the segment join's suffixes, sorted up to each
     one's separator: int32, or int64 for a join of 2**31 symbols or more.
     A block's rows come in no particular order."""
 
-    sa: np.ndarray
-    seg_id: np.ndarray
-    pos: np.ndarray
-    head: np.ndarray  # bool, each block's first row
+    def __init__(self, sa: np.ndarray, seg_id: np.ndarray, pos: np.ndarray, head: np.ndarray):
+        self.sa = sa
+        self.seg_id = seg_id
+        self.pos = pos
+        self.head = head  # bool, each block's first row
 
     def __len__(self) -> int:
         return len(self.sa)

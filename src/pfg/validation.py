@@ -7,7 +7,6 @@ join for the segments' last k + 1 letters; no suffix is sorted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from operator import ge
 
 import numpy as np
@@ -17,9 +16,9 @@ from .errors import StructureError
 from .graph import PAD, SEPARATOR, PrefixFreeGraph
 
 
-@dataclass
 class ValidationReport:
-    errors: list[str] = field(default_factory=list)
+    def __init__(self, errors: list[str] | None = None):
+        self.errors = [] if errors is None else errors
 
     @property
     def ok(self) -> bool:

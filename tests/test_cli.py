@@ -21,14 +21,14 @@ from pfg import (
     write_gfa,
 )
 from pfg.cli import fasta2pfg_main, gfa2pfg_main, pfg2sa_main
-from pfg.stream import emission_batches
+from pfg.emission import emission_batches
 
 from conftest import make_graph, rename_segments
 
 FASTA = ">s1\nCACGTACT\n>s2\nCACACT\n>s3\nCACGACT\n"
-# the package exports the function ``stream`` under the module's name
-STREAM_MODULE = importlib.import_module("pfg.stream")
-CLI_MODULE = importlib.import_module("pfg.cli")
+STREAM_MODULE = importlib.import_module("pfg.emission")
+# the builders import build_graph when they run, so a patch here reaches them
+PARTITION_MODULE = importlib.import_module("pfg.partition")
 SORTING_MODULES = [importlib.import_module("pfg.suffixes"), importlib.import_module("pfg.occurrences")]
 SRC = Path(__file__).resolve().parent.parent / "src"
 MAINS = {"fasta2pfg": fasta2pfg_main, "gfa2pfg": gfa2pfg_main, "pfg2sa": pfg2sa_main}
@@ -153,7 +153,7 @@ class TestFasta2Pfg:
     def test_invalid_graph_fails_with_one_line(self, trigger_file, monkeypatch):
         # unsorted segments and a path that neither overlaps nor ends with pads
         graph = make_graph(2, ["CA", "AC"], [("p", [0, 1])])
-        monkeypatch.setattr(CLI_MODULE, "build_graph", lambda pangenome, triggers: graph)
+        monkeypatch.setattr(PARTITION_MODULE, "build_graph", lambda pangenome, triggers: graph)
         status, out, err = run(fasta2pfg_main, ["-t", trigger_file], FASTA)
         assert (status, out) == (1, "")
         assert err.startswith("fasta2pfg: ") and err.count("\n") == 1
@@ -264,7 +264,7 @@ class TestPfg2Sa:
             for batch in emission_batches(*args, **kwargs):
                 yield batch._replace(sa=batch.sa[::-1])
 
-        monkeypatch.setattr(CLI_MODULE, "emission_batches", reversed_sa)
+        monkeypatch.setattr(STREAM_MODULE, "emission_batches", reversed_sa)
         assert run(pfg2sa_main, ["--verify"], running_gfa) == (1, "", "pfg2sa: stream disagrees with the oracle\n")
 
     def test_non_ascii_segment_rejected(self):

@@ -21,6 +21,7 @@ from pfg import (
 from conftest import random_instance, rename_segments
 
 GFA_MODULE = importlib.import_module("pfg.gfa")
+DOCUMENT_MODULE = importlib.import_module("pfg.document")
 PATHS_MODULE = importlib.import_module("pfg.paths")
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -300,7 +301,7 @@ class TestReadGfa:
         cr = "\r" * carriage_returns
         text = f"H\tTL:i:2{cr}\nS\t0\tAC..{cr}\nP\tp\t0+\t*{cr}\n{cr}\n"
         # the column reader takes the file itself
-        doc = GFA_MODULE.read_columns(text.encode())
+        doc = DOCUMENT_MODULE.read_columns(text.encode())
         assert (doc.header_tags, doc.join.contents(), doc.path_names) == ({"TL": "2"}, ["AC.."], ["p"])
 
     def test_unknown_record_types_ignored(self):

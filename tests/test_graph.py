@@ -1,3 +1,4 @@
+import io
 import random
 import re
 import tracemalloc
@@ -5,15 +6,20 @@ import tracemalloc
 import pytest
 
 from pfg import (
+    ConfigError,
+    FormatError,
     Pangenome,
     StructureError,
     TriggerSet,
     build_graph,
     build_suffix_table,
     normalize,
+    read_fasta,
+    read_gfa,
     reconstruct,
     validate,
 )
+from pfg.graph import invalid_letter
 from pfg.validation import _structural_report, check_prefix_free
 
 from conftest import make_graph, proper_prefixes, random_dictionary
@@ -22,6 +28,12 @@ VIOLATION = re.compile(
     r"segment suffixes are not prefix-free: the suffix of segment (\d+) at offset (\d+) "
     r"is a proper prefix of the suffix of segment (\d+) at offset (\d+)"
 )
+
+# the input letters are the characters from just above the pad "." to "~"
+LETTERS_REGEX = re.compile("[^\x2f-\x7e]")
+# every code point below 0x180 (DEL, NEL and the no-break space among
+# them), the line separator, a full-width letter and an emoji
+ODD_CHARACTERS = [chr(c) for c in range(0x180)] + ["\u2028", "\uff21", "\U0001F600"]
 
 DISCOVERY = {0: "CAC", 1: "ACG", 2: "CGTAC", 3: "ACT..", 4: "ACAC", 5: "CGAC"}
 DISCOVERY_PATHS = [[0, 1, 2, 3], [0, 4, 3], [0, 1, 5, 3]]
@@ -267,3 +279,39 @@ class TestPangenome:
 
     def test_total_length(self, pangenome):
         assert pangenome.total_length == 21
+
+
+class TestInvalidLetter:
+    @pytest.mark.parametrize("place", ["start", "middle", "end", "before-a-nul"])
+    def test_agrees_with_the_regex(self, place):
+        valid = "ACGTacgt/~"
+        for c in ODD_CHARACTERS:
+            data = {
+                "start": c + valid,
+                "middle": valid[:5] + c + valid[5:],
+                "end": valid + c,
+                "before-a-nul": c + valid + "\0",
+            }[place]
+            match = LETTERS_REGEX.search(data)
+            assert invalid_letter(data) == (match.group() if match else None), repr(data)
+
+    def test_valid_and_empty_texts_have_none(self):
+        assert invalid_letter("") is None
+        assert invalid_letter("".join(map(chr, range(0x2F, 0x7F))) * 3) is None
+
+    @pytest.mark.parametrize("c", ["#", ".", " ", "\x7f", "\x85", "\xa0", "\u2028", "\uff21", "\U0001F600"])
+    def test_errors_name_the_character(self, c):
+        data = f"AC{c}GT"
+        with pytest.raises(StructureError) as exc:
+            Pangenome(sequences=[("x", data)])
+        assert str(exc.value) == f"reserved or invalid character {c!r} in sequence"
+        with pytest.raises(FormatError) as exc:
+            read_fasta(io.StringIO(f">x\nACGT\n{data}\n"))
+        assert str(exc.value) == f"line 3: reserved or invalid character {c!r}"
+        with pytest.raises(ConfigError) as exc:
+            TriggerSet.from_words([data])
+        assert str(exc.value) == f"trigger word {data!r} contains a reserved or invalid character"
+        if c != ".":  # a pad is a letter of an S-record
+            with pytest.raises(FormatError) as exc:
+                read_gfa(io.StringIO(f"S\t0\tAC..\nS\t1\t{data}\n"))
+            assert str(exc.value) == f"line 2: reserved or invalid character {c!r} in S-record"

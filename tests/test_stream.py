@@ -21,13 +21,12 @@ from pfg import (
     validate,
 )
 from pfg.oracle import oracle_bwt, oracle_sa, oracle_text
-from pfg.stream import emission_batches, mark_blocks
+from pfg.emission import emission_batches, mark_blocks
 
 from conftest import FULL_SA, proper_prefixes, random_dictionary, random_instance
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-# the package exports the function ``stream`` under the module's name
-STREAM_MODULE = importlib.import_module("pfg.stream")
+STREAM_MODULE = importlib.import_module("pfg.emission")
 
 # "ACG" (segment 2, offset 1) is a proper prefix of "ACGT.." and "ACGTT.."
 NOT_PREFIX_FREE = 'normalize({0: "GACG", 1: "CGACGT..", 2: "ACGTT.."}, [[0], [1], [2]], k=2)'
