@@ -10,34 +10,21 @@ from importlib import import_module
 # each public name, in __all__ order, and the module that defines it
 _MODULE_OF = {
     "ConfigError": "errors",
-    "Emission": "emission",
     "FormatError": "errors",
-    "GfaDocument": "document",
-    "PAD": "graph",
     "Pangenome": "graph",
     "PfgError": "errors",
     "PrefixFreeGraph": "graph",
-    "SENTINEL": "graph",
-    "SEPARATOR": "graph",
-    "SegmentJoin": "graph",
-    "SegmentTable": "occurrences",
     "StructureError": "errors",
-    "SuffixTable": "suffixes",
     "TriggerSet": "automaton",
     "build_graph": "partition",
-    "build_join": "suffixes",
-    "build_path_join": "occurrences",
     "build_segment_table": "occurrences",
     "build_suffix_table": "suffixes",
-    "compile_triggers": "automaton",
     "expand_gfa_paths": "gfa",
     "graph_from_gfa": "gfa",
     "normalize": "graph",
-    "partition_sequence": "partition",
     "read_fasta": "fasta",
     "read_gfa": "gfa",
-    "read_triggers": "fasta",
-    "reconstruct": "graph",
+    "read_triggers": "automaton",
     "stream": "emission",
     "validate": "validation",
     "write_gfa": "gfa",

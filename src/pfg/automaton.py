@@ -1,4 +1,4 @@
-"""Finding the occurrences of uniform-length trigger words.
+"""Reading uniform-length trigger words and finding their occurrences.
 
 All triggers share one length k, so a trigger ends at position i exactly
 when the k-window ending there is a trigger word.  The scan hashes every
@@ -43,6 +43,19 @@ class TriggerSet:
             if invalid_letter(w) is not None:
                 raise ConfigError(f"trigger word {w!r} contains a reserved or invalid character")
         return cls(words=tuple(cleaned), k=lengths.pop())
+
+
+def read_triggers(stream) -> TriggerSet:
+    """One trigger word per line; blank lines and #-comments are ignored."""
+    words = []
+    for line in stream:
+        word = line.strip()
+        if not word or word.startswith("#"):
+            continue
+        words.append(word)
+    if not words:
+        raise ConfigError("trigger file contains no words")
+    return TriggerSet.from_words(words)
 
 
 class TriggerScanner:

@@ -12,12 +12,9 @@ import sys
 import numpy as np
 
 from .errors import FormatError
-from .graph import PAD, SENTINEL, SEPARATOR, SegmentJoin, invalid_letter
+from .graph import _MAX_INPUT, _MIN_INPUT, PAD, SENTINEL, SEPARATOR, SegmentJoin, invalid_letter
 from .paths import overlap_values, read_paths, segment_names
 from .records import Failures, Records, first, gather
-
-# the bytes an S-record's sequence may hold: the pad and every input letter
-_LOWEST_LETTER, _HIGHEST_LETTER = ord(PAD), ord("~")
 
 
 class GfaDocument:
@@ -135,7 +132,8 @@ def _segment_join(records: Records, rows: np.ndarray) -> tuple[SegmentJoin, int]
     text[:-1] = gather(records.buf, begins, ends + 1)
     text[boundaries + lengths] = ord(SEPARATOR)
     text[-1] = ord(SENTINEL)
-    bad = (text < _LOWEST_LETTER) | (text > _HIGHEST_LETTER)
+    # an S-record's sequence may hold the pad and every input letter
+    bad = (text < _MIN_INPUT) | (text > _MAX_INPUT)
     bad_row = len(rows)
     # the separators and the sentinel are the only bytes that are no letters
     if np.count_nonzero(bad) != len(rows) + 1:

@@ -2,11 +2,11 @@
 
 Before anything is yielded, the graph's prefix-freeness is checked
 (``validation.check_prefix_free``), and one vectorized pass over the
-suffix table keeps the rows that have a pangenome counterpart, takes its
-blocks of equal segment suffixes from the table's block starts, and checks
-the emission count.  Emission then runs in batches of whole blocks: each
-batch expands its rows' occurrences and orders them by (block,
-right-context rank), so the order of rows inside a block does not matter.
+suffix table, whose rows all emit, takes its blocks of equal segment
+suffixes from the table's block starts and checks the emission count.
+Emission then runs in batches of whole blocks: each batch expands its
+rows' occurrences and orders them by (block, right-context rank), so the
+order of rows inside a block does not matter.
 Memory stays proportional to the two tables plus one batch; the pangenome
 text is never materialized.
 """
@@ -49,23 +49,6 @@ class Batch(NamedTuple):
     bwt: np.ndarray | None  # uint8 letters, None without the BWT
 
 
-def mark_blocks(suffix_table: SuffixTable, lengths: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Boolean masks over the suffix table rows: kept rows, and block starts.
-
-    A row is kept when it lies in a segment (not the sentinel) and its
-    segment suffix is longer than k.  A block is a run of rows whose
-    suffixes agree up to their separator, that is, of equal segment
-    suffixes; every row of a run is kept or none is.
-    """
-    seg_id = suffix_table.seg_id
-    pos = suffix_table.pos
-    # the sentinel row's id is the segment count; give it length 0
-    suffix_len = np.append(lengths, 0).astype(pos.dtype)[np.minimum(seg_id, len(lengths))]
-    suffix_len -= pos
-    kept = (seg_id < len(lengths)) & (suffix_len > k)
-    return kept, suffix_table.head & kept
-
-
 def emission_batches(
     graph: PrefixFreeGraph,
     suffix_table: SuffixTable,
@@ -75,46 +58,43 @@ def emission_batches(
     """Yield the emissions in order, in batches cut at block starts."""
     k = graph.k
     check_prefix_free(graph)
-    kept, block_start = mark_blocks(suffix_table, segment_table.lengths, k)
-    rows = np.flatnonzero(kept).astype(suffix_table.pos.dtype)
-    del kept
-    block_start = block_start[rows]  # now indexed by kept row
+    head = suffix_table.head
     counts = np.diff(segment_table.offsets)
-    row_counts = counts[suffix_table.seg_id[rows]]
-    # first emission of each kept row, then the total; int64, as emission
+    row_counts = counts[suffix_table.seg_id]
+    # first emission of each row, then the total; int64, as emission
     # indices can pass 2**31
-    row_begin = np.zeros(len(rows) + 1, dtype=np.int64)
+    row_begin = np.zeros(len(suffix_table) + 1, dtype=np.int64)
     np.cumsum(row_counts, out=row_begin[1:])
     del row_counts
     total = int(row_begin[-1])
     expected = int(((segment_table.lengths - k) * counts).sum())
     if total != expected:
         raise StructureError(f"the tables give {total} emissions, expected {expected}")
-    # kept-row index and first emission of every block, then the ends
-    first_rows = np.flatnonzero(np.append(block_start, True))
-    bounds = row_begin[first_rows]
+    # first row of every block, then the end
+    first_rows = np.flatnonzero(np.append(head, True))
     text = np.frombuffer(graph.join.text, dtype=np.uint8)
     # every rank is below this, so block * rank_bound + rank orders by both
     rank_bound = int(segment_table.rank.max()) + 1 if len(segment_table.rank) else 1
     b = 0
     while b < len(first_rows) - 1:
-        e0 = int(bounds[b])
-        c = max(int(np.searchsorted(bounds, e0 + BATCH_EMISSIONS, side="right")) - 1, b + 1)
-        e1 = int(bounds[c])
-        batch_rows = rows[first_rows[b] : first_rows[c]]
-        seg_ids = suffix_table.seg_id[batch_rows]
+        r0 = first_rows[b]
+        e0 = int(row_begin[r0])
+        # the batch ends at the last block start at most BATCH_EMISSIONS
+        # emissions on, or after one block when that block is wider
+        last_row = np.searchsorted(row_begin, e0 + BATCH_EMISSIONS, side="right") - 1
+        c = max(int(np.searchsorted(first_rows, last_row, side="right")) - 1, b + 1)
+        r1 = first_rows[c]
+        e1 = int(row_begin[r1])
+        seg_ids = suffix_table.seg_id[r0:r1]
         n_occ = counts[seg_ids]
-        row_of = np.repeat(np.arange(len(batch_rows)), n_occ)
         # occurrence index = its row's first occurrence + its place in the row
-        shift = segment_table.offsets[seg_ids] - row_begin[first_rows[b] : first_rows[c]]
+        shift = segment_table.offsets[seg_ids] - row_begin[r0:r1]
         occ = np.arange(e0, e1) + np.repeat(shift, n_occ)
-        key = np.cumsum(block_start[first_rows[b] : first_rows[c]])[row_of]
-        key *= rank_bound
-        key += segment_table.rank[occ]
+        key = np.repeat(np.cumsum(head[r0:r1]), n_occ) * rank_bound + segment_table.rank[occ]
         # rows come in block order and each row's occurrences by rank, so
         # the key is a few ascending runs, which a stable sort merges
         order = np.argsort(key, kind="stable")
-        row_of = batch_rows[row_of[order]]
+        row_of = np.repeat(np.arange(r0, r1), n_occ)[order]
         occ = occ[order]
         pos = suffix_table.pos[row_of]
         bwt = None

@@ -1,9 +1,8 @@
-"""FASTA and trigger-list readers."""
+"""The FASTA reader."""
 
 from __future__ import annotations
 
-from .automaton import TriggerSet
-from .errors import ConfigError, FormatError
+from .errors import FormatError
 from .graph import Pangenome, invalid_letter
 
 
@@ -53,15 +52,3 @@ def read_fasta(stream) -> Pangenome:
         raise FormatError("no FASTA records found", line=1)
     return Pangenome(sequences=sequences)
 
-
-def read_triggers(stream) -> TriggerSet:
-    """One trigger word per line; blank lines and #-comments are ignored."""
-    words = []
-    for line in stream:
-        word = line.strip()
-        if not word or word.startswith("#"):
-            continue
-        words.append(word)
-    if not words:
-        raise ConfigError("trigger file contains no words")
-    return TriggerSet.from_words(words)

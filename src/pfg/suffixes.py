@@ -1,6 +1,7 @@
-"""The suffix table: the segment join's suffixes sorted up to and including
-each one's separator, with their segment ids, offsets and block starts; and
-a text's full suffix array and its LCP."""
+"""The suffix table: the segment join's suffixes whose segment suffix is
+longer than k, sorted up to and including each one's separator, with their
+segment ids, offsets and block starts; and a text's full suffix array and
+its LCP."""
 
 from __future__ import annotations
 
@@ -12,9 +13,10 @@ _RANK_LUT = np.array([char_rank(chr(b)) for b in range(256)], dtype=np.uint16)
 
 
 class SuffixTable:
-    """Parallel columns over the segment join's suffixes, sorted up to each
-    one's separator: int32, or int64 for a join of 2**31 symbols or more.
-    A block's rows come in no particular order."""
+    """Parallel columns over the segment join's suffixes whose segment suffix
+    is longer than k, the rows that emit, sorted up to each one's separator:
+    int32, or int64 for a join of 2**31 symbols or more.  A block's rows
+    come in no particular order."""
 
     def __init__(self, sa: np.ndarray, seg_id: np.ndarray, pos: np.ndarray, head: np.ndarray):
         self.sa = sa
@@ -212,8 +214,15 @@ def _reach(text: bytes) -> np.ndarray:
 
 
 def build_suffix_table(graph: PrefixFreeGraph) -> SuffixTable:
+    """The graph's suffix table: only the rows whose segment suffix is
+    longer than k, as only those emit."""
     join = graph.join
     sa, rank, head = _prefix_doubling(_symbols(join.text), _reach(join.text))
-    del rank  # before annotate's columns
+    del rank  # before the mask and annotate's columns
+    # the reach counts the separator too; a block's suffixes end at one
+    # separator, so the block is kept or dropped whole
+    kept = (_reach(join.text) > graph.k + 1)[sa]
+    sa, head = sa[kept], head[kept]
+    del kept
     seg_id, pos = annotate(join, sa)
     return SuffixTable(sa=sa, seg_id=seg_id, pos=pos, head=head)

@@ -3,7 +3,8 @@ import random
 import numpy as np
 import pytest
 
-from pfg import PAD, Pangenome, PrefixFreeGraph, SegmentJoin, TriggerSet, build_graph
+from pfg import Pangenome, PrefixFreeGraph, TriggerSet, build_graph
+from pfg.graph import PAD, SegmentJoin
 
 RUNNING_SEQUENCES = [("s1", "CACGTACT"), ("s2", "CACACT"), ("s3", "CACGACT")]
 RUNNING_TRIGGERS = ["AC", "CG"]

@@ -14,13 +14,12 @@ from pfg import (
     Pangenome,
     TriggerSet,
     build_graph,
-    build_join,
     build_segment_table,
     build_suffix_table,
     stream,
 )
 from pfg.oracle import oracle_bwt, oracle_sa, oracle_text
-from pfg.suffixes import annotate, lcp_array, suffix_array
+from pfg.suffixes import annotate, build_join, lcp_array, suffix_array
 
 from conftest import (
     FULL_SA,
@@ -161,7 +160,8 @@ def test_criterion_5_permutation_and_ordering(randomized_results):
 def test_criterion_6_roundtrips():
     import io
 
-    from pfg import expand_gfa_paths, read_gfa, reconstruct, write_gfa
+    from pfg import expand_gfa_paths, read_gfa, write_gfa
+    from pfg.graph import reconstruct
 
     rng = random.Random(4242)
     ok = True

@@ -1,10 +1,12 @@
+import io
 import random
 import tracemalloc
 
 import pytest
 
-from pfg import ConfigError, TriggerSet, compile_triggers
+from pfg import ConfigError, TriggerSet, read_triggers
 from pfg import automaton as scan_module
+from pfg.automaton import compile_triggers
 
 
 def naive_match_ends(text, words):
@@ -33,6 +35,21 @@ class TestTriggerSet:
     def test_reserved_character_rejected(self):
         with pytest.raises(ConfigError):
             TriggerSet.from_words(["A#"])
+
+
+class TestReadTriggers:
+    def test_words_comments_blanks(self):
+        t = read_triggers(io.StringIO("# stop codons\nTAA\n\nTAG\nTGA\n"))
+        assert t.words == ("TAA", "TAG", "TGA")
+        assert t.k == 3
+
+    def test_empty_file_rejected(self):
+        with pytest.raises(ConfigError):
+            read_triggers(io.StringIO("# nothing\n"))
+
+    def test_mixed_lengths_rejected(self):
+        with pytest.raises(ConfigError):
+            read_triggers(io.StringIO("AC\nTGA\n"))
 
 
 class TestAutomaton:

@@ -2,7 +2,7 @@ import io
 
 import pytest
 
-from pfg import ConfigError, FormatError, read_fasta, read_triggers
+from pfg import FormatError, read_fasta
 
 
 class TestReadFasta:
@@ -44,17 +44,3 @@ class TestReadFasta:
         with pytest.raises(FormatError):
             read_fasta(io.StringIO(""))
 
-
-class TestReadTriggers:
-    def test_words_comments_blanks(self):
-        t = read_triggers(io.StringIO("# stop codons\nTAA\n\nTAG\nTGA\n"))
-        assert t.words == ("TAA", "TAG", "TGA")
-        assert t.k == 3
-
-    def test_empty_file_rejected(self):
-        with pytest.raises(ConfigError):
-            read_triggers(io.StringIO("# nothing\n"))
-
-    def test_mixed_lengths_rejected(self):
-        with pytest.raises(ConfigError):
-            read_triggers(io.StringIO("AC\nTGA\n"))

@@ -1,6 +1,5 @@
 from pfg import (
     build_graph,
-    build_path_join,
     build_segment_table,
     normalize,
     Pangenome,
@@ -9,6 +8,7 @@ from pfg import (
 from pfg.occurrences import (
     END,
     SEP,
+    build_path_join,
     occurrence_starts,
     preceding_chars,
     right_context_ranks,

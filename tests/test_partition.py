@@ -6,11 +6,11 @@ from pfg import (
     Pangenome,
     TriggerSet,
     build_graph,
-    compile_triggers,
-    partition_sequence,
-    reconstruct,
     validate,
 )
+from pfg.automaton import compile_triggers
+from pfg.graph import reconstruct
+from pfg.partition import partition_sequence
 
 
 @pytest.fixture

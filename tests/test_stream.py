@@ -10,9 +10,7 @@ import numpy as np
 import pytest
 
 from pfg import (
-    PAD,
     StructureError,
-    SuffixTable,
     build_graph,
     build_segment_table,
     build_suffix_table,
@@ -21,9 +19,10 @@ from pfg import (
     validate,
 )
 from pfg.oracle import oracle_bwt, oracle_sa, oracle_text
-from pfg.emission import emission_batches, mark_blocks
+from pfg.emission import emission_batches
+from pfg.suffixes import SuffixTable
 
-from conftest import FULL_SA, proper_prefixes, random_dictionary, random_instance
+from conftest import FULL_SA, SUFFIX_TABLE_ROWS, proper_prefixes, random_dictionary, random_instance
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 STREAM_MODULE = importlib.import_module("pfg.emission")
@@ -37,46 +36,46 @@ def tables(graph):
     return build_suffix_table(graph), build_segment_table(graph)
 
 
-@pytest.fixture
-def masks(graph, tables):
-    table, seg = tables
-    return mark_blocks(table, seg.lengths, graph.k)
+def table_keys(table):
+    """(ID, pos) of every row of ``table``."""
+    return list(zip(table.seg_id.tolist(), table.pos.tolist()))
 
 
-def block_rows(masks, start):
-    """Rows of the block that starts at row ``start``."""
-    kept, block_start = masks
-    assert block_start[start]
-    end = start + 1
-    while end < len(kept) and kept[end] and not block_start[end]:
-        end += 1
-    return list(range(start, end))
+def paper_key(row):
+    """(ID, pos) of row ``row`` of the paper's full suffix table."""
+    return SUFFIX_TABLE_ROWS[row][3:]
+
+
+def block_of(table, row):
+    """(ID, pos) of the rows in the block of the paper's row ``row``, sorted."""
+    keys = table_keys(table)
+    block = np.cumsum(table.head).tolist()
+    b = block[keys.index(paper_key(row))]
+    return sorted(key for key, other in zip(keys, block) if other == b)
 
 
 class TestIsSkipped:
-    def test_first_thirteen_rows_skipped(self, masks):
-        kept, _ = masks
-        assert not kept[:13].any()
-        assert kept[13]
+    def test_first_thirteen_rows_skipped(self, tables):
+        table, _ = tables
+        assert not {paper_key(row) for row in range(13)} & set(table_keys(table))
+        assert table_keys(table)[0] == paper_key(13)
 
-    def test_short_segment_suffix_skipped(self, masks):
-        kept, _ = masks
+    def test_short_segment_suffix_skipped(self, tables):
         # row 10: ID 0, pos 2, remaining length 2 <= k
-        assert not kept[10]
+        assert paper_key(10) not in table_keys(tables[0])
 
-    def test_long_segment_suffix_reported(self, masks):
-        kept, _ = masks
+    def test_long_segment_suffix_reported(self, tables):
         # row 24: ID 5, pos 0, remaining length 5 > k
-        assert kept[24]
+        assert paper_key(24) in table_keys(tables[0])
 
 
 class TestBlocks:
-    def test_rows_20_21_form_one_block(self, masks):
-        assert block_rows(masks, 20) == [20, 21]
+    def test_rows_20_21_form_one_block(self, tables):
+        assert block_of(tables[0], 20) == sorted([paper_key(20), paper_key(21)])
 
-    def test_rows_13_to_15_are_singletons(self, masks):
+    def test_rows_13_to_15_are_singletons(self, tables):
         for i in (13, 14, 15):
-            assert block_rows(masks, i) == [i]
+            assert block_of(tables[0], i) == [paper_key(i)]
 
 
 class TestChecks:
@@ -131,10 +130,11 @@ class TestChecks:
             assert [e for e in validate(g).errors if "not prefix-free" in e] == streamed
             assert bool(streamed) == bool(proper_prefixes(g))
             if batches is not None:
-                # the blocks the stream merges hold equal segment suffixes
-                kept, block_start = mark_blocks(suffix_table, g.join.lengths, k)
-                suffix_len = g.join.lengths[suffix_table.seg_id[kept]] - suffix_table.pos[kept]
-                block = np.cumsum(block_start[kept])
+                # the blocks the stream merges hold equal segment suffixes,
+                # each longer than k
+                suffix_len = g.join.lengths[suffix_table.seg_id] - suffix_table.pos
+                block = np.cumsum(suffix_table.head)
+                assert (suffix_len > k).all()
                 assert (suffix_len[1:] == suffix_len[:-1])[block[1:] == block[:-1]].all()
 
 
@@ -273,8 +273,7 @@ class TestBatches:
             pangenome, triggers = random_instance(rng)
             graph = build_graph(pangenome, triggers)
             suffix_table, segment_table = build_suffix_table(graph), build_segment_table(graph)
-            _, block_start = mark_blocks(suffix_table, segment_table.lengths, graph.k)
-            block_of_row = np.cumsum(block_start)
+            block_of_row = np.cumsum(suffix_table.head)
             row_of = {key: r for r, key in enumerate(zip(suffix_table.seg_id.tolist(), suffix_table.pos.tolist()))}
             # an occurrence that emits anything has its own start in its segment
             occurrence_seg = np.repeat(np.arange(len(segment_table.lengths)), np.diff(segment_table.offsets))

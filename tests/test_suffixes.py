@@ -4,7 +4,7 @@ from functools import cmp_to_key
 import numpy as np
 import pytest
 
-from pfg import build_graph, build_join, build_suffix_table, normalize, suffixes
+from pfg import build_graph, build_suffix_table, normalize, suffixes
 from pfg.graph import char_rank
 from pfg.suffixes import (
     _packed_keys,
@@ -12,6 +12,7 @@ from pfg.suffixes import (
     _reach,
     _symbols,
     annotate,
+    build_join,
     lcp_array,
     suffix_array,
 )
@@ -185,25 +186,39 @@ class TestAnnotate:
         assert (seg_id[21], pos[21]) == (3, 0)
 
 
+def emitting(graph, head, *columns):
+    """``head`` and ``columns`` of a full suffix array of the segment join
+    (segment ids and offsets last) restricted to the rows whose segment
+    suffix is longer than k."""
+    lengths = graph.join.lengths.tolist()
+    rows = zip(head, *(np.asarray(column).tolist() for column in columns))
+    kept = [row for row in rows if row[-2] < len(lengths) and lengths[row[-2]] - row[-1] > graph.k]
+    return list(map(list, zip(*kept))) if kept else [[] for _ in range(1 + len(columns))]
+
+
 def assert_runs_match(graph):
     """The table's runs and their rows are those of the full suffix array,
-    cut where the LCP stops short of the upper row's separator."""
+    cut where the LCP stops short of the upper row's separator, restricted
+    to the rows whose segment suffix is longer than k."""
     join = build_join(graph)
     sa = suffix_array(join.text)
     head = separator_runs(join.text, sa.tolist(), lcp_array(join.text, sa).tolist())
+    head, *columns = emitting(graph, head, sa, *annotate(join, sa))
     table = build_suffix_table(graph)
     assert table.head.tolist() == head
-    assert runs(table.head, table.sa, table.seg_id, table.pos) == runs(head, sa, *annotate(join, sa))
+    assert runs(table.head, table.sa, table.seg_id, table.pos) == runs(head, *columns)
 
 
 class TestSuffixTable:
-    def test_full_table_matches_fixture(self, graph):
+    def test_table_matches_fixture(self, graph):
         # rows come sorted up to their separators: the same runs of rows as
-        # in the full suffix array, in any order inside a run
+        # in the full suffix array, in any order inside a run, and only the
+        # rows whose segment suffix is longer than k
         table = build_suffix_table(graph)
         _, sa, lcp, seg_id, pos = map(list, zip(*SUFFIX_TABLE_ROWS))
         head = separator_runs(build_join(graph).text, sa, lcp)
-        assert len(table) == 31
+        head, sa, seg_id, pos = emitting(graph, head, sa, seg_id, pos)
+        assert len(table) == 12
         assert table.head.tolist() == head
         assert runs(table.head, table.sa, table.seg_id, table.pos) == runs(head, sa, seg_id, pos)
 
@@ -217,6 +232,7 @@ class TestSuffixTable:
         assert {column.dtype for column in columns} == {np.dtype(np.int64)}
         _, sa, lcp, seg_id, pos = map(list, zip(*SUFFIX_TABLE_ROWS))
         head = separator_runs(build_join(graph).text, sa, lcp)
+        head, sa, seg_id, pos = emitting(graph, head, sa, seg_id, pos)
         assert table.head.tolist() == head
         assert runs(table.head, *columns) == runs(head, sa, seg_id, pos)
 
@@ -224,9 +240,7 @@ class TestSuffixTable:
         join = build_join(graph)
         table = build_suffix_table(graph)
         for i in range(len(table)):
-            sid, pos = table.seg_id[i], table.pos[i]
-            if sid < len(join.lengths) and pos < join.lengths[sid]:
-                assert chr(join.text[table.sa[i]]) == join.content(sid)[pos]
+            assert chr(join.text[table.sa[i]]) == join.content(table.seg_id[i])[table.pos[i]]
 
     @pytest.mark.parametrize("k", range(1, 10))
     def test_runs_match_the_full_suffix_array(self, k):
