@@ -21,7 +21,6 @@ _MODULE_OF = {
     "build_suffix_table": "suffixes",
     "expand_gfa_paths": "gfa",
     "graph_from_gfa": "gfa",
-    "normalize": "graph",
     "read_fasta": "fasta",
     "read_gfa": "gfa",
     "read_triggers": "automaton",

@@ -10,7 +10,6 @@ characters.
 from __future__ import annotations
 
 import re
-from itertools import chain
 
 import numpy as np
 
@@ -142,32 +141,23 @@ class PrefixFreeGraph:
         return [(name, self.steps[a:b].tolist()) for name, a, b in zip(self.path_names, bounds, bounds[1:])]
 
 
-def normalize(segments, paths, k, names=None) -> PrefixFreeGraph:
+def normalize(contents, steps, path_offsets, k, names) -> PrefixFreeGraph:
     """Relabel discovery-ordered segments by lexicographic rank.
 
-    ``segments`` maps discovery IDs to contents, ``paths`` lists discovery
-    IDs per sequence.  The same permutation that sorts the segments is
-    applied to every path.
+    ``contents[i]`` is the segment of discovery id ``i``, and path ``j`` is
+    ``names[j]`` with the discovery ids ``steps[path_offsets[j]:path_offsets[j + 1]]``.
+    One sort of the contents gives each id its rank, and one gather
+    relabels every step.
     """
-    if len(set(segments.values())) != len(segments):
-        raise StructureError("duplicate segment content under distinct discovery ids")
-    if names is None:
-        names = [f"path_{j}" for j in range(len(paths))]
-    counts = [len(path) for _, path in zip(names, paths, strict=True)]
-    order = sorted(segments, key=segments.__getitem__)
-    rank = {old: new for new, old in enumerate(order)}
-    try:
-        steps = np.fromiter(map(rank.__getitem__, chain.from_iterable(paths)), dtype=np.int32, count=sum(counts))
-    except KeyError as exc:
-        # the first path that holds the id is the one whose step raised
-        name = next(name for name, path in zip(names, paths) if exc.args[0] in path)
-        raise StructureError(f"path {name!r} references unknown segment {exc.args[0]}") from None
+    order = sorted(range(len(contents)), key=contents.__getitem__)
+    rank = np.empty(len(order), dtype=np.int32)
+    rank[order] = np.arange(len(order), dtype=np.int32)
     return PrefixFreeGraph(
         k=k,
-        join=SegmentJoin.of([segments[old] for old in order]),
-        steps=steps,
-        path_offsets=np.append(0, np.cumsum(counts, dtype=np.int64)),
-        path_names=list(names),
+        join=SegmentJoin.of([contents[i] for i in order]),
+        steps=rank[steps],
+        path_offsets=np.asarray(path_offsets, dtype=np.int64),
+        path_names=names,
     )
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from array import array
+
 from .automaton import TriggerScanner, TriggerSet, compile_triggers
 from .graph import PAD, Pangenome, PrefixFreeGraph, normalize
 
@@ -24,14 +26,17 @@ def partition_sequence(seq: str, scanner: TriggerScanner, k: int) -> list[str]:
 
 
 def build_graph(pangenome: Pangenome, triggers: TriggerSet) -> PrefixFreeGraph:
-    """Partition every sequence and assemble the normalized graph."""
+    """Partition every sequence and assemble the normalized graph.
+
+    Each segment gets an id in order of discovery, and every path's ids go
+    into one int32 buffer; ``normalize`` then relabels them by rank."""
     scanner = compile_triggers(triggers)
     k = triggers.k
     discovery: dict[str, int] = {}
-    paths = []
-    names = []
-    for name, data in pangenome.sequences:
-        paths.append([discovery.setdefault(s, len(discovery)) for s in partition_sequence(data, scanner, k)])
-        names.append(name)
-    segments = {sid: content for content, sid in discovery.items()}
-    return normalize(segments, paths, k, names=names)
+    steps = array("i")
+    offsets = [0]
+    for _, data in pangenome.sequences:
+        steps.extend(discovery.setdefault(s, len(discovery)) for s in partition_sequence(data, scanner, k))
+        offsets.append(len(steps))
+    names = [name for name, _ in pangenome.sequences]
+    return normalize(list(discovery), steps, offsets, k, names)

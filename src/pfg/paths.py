@@ -104,12 +104,7 @@ def read_paths(records: Records, rows: np.ndarray, locate):
         tokens, token_begins, token_ends, listed_counts = comma_lists(
             buf, overlap_begins[a:b][part], overlap_ends[a:b][part]
         )
-        # one token over and over, as write_gfa writes them, is read once
-        period = int(token_ends[0]) + 1 if len(token_ends) else 0
-        if period and np.array_equal(tokens[period:], tokens[:-period]):
-            values = np.repeat(overlap_values(tokens, token_begins[:1], token_ends[:1]), len(token_ends))
-        else:
-            values = overlap_values(tokens, token_begins, token_ends)
+        values = overlap_values(tokens, token_begins, token_ends)
         bad_token = first(values < 0)
         token_counts = np.zeros(b - a, dtype=np.int64)
         token_counts[part] = listed_counts

@@ -72,8 +72,12 @@ def _structural_report(graph: PrefixFreeGraph) -> ValidationReport:
     broken[begins[used]] = False
     stray = padded[at]  # a padded step that is not its path's last
     stray[ends[used] - 1] = False
+    # a path spells each step's letters but the last k, which the next step
+    # or the pads repeat, so only a step longer than k spells a letter
+    spells = np.zeros(len(used), dtype=bool)
+    spells[used] = np.logical_or.reduceat(np.append(lengths > k, False)[at], begins[used])
     # the paths with a problem; only these are gone through step by step
-    flagged = ~used
+    flagged = ~spells  # an empty path spells nothing too
     flagged[used] |= ~end_padded[at[ends[used] - 1]]
     flagged[np.searchsorted(ends, np.flatnonzero(~known | broken | stray), side="right")] = True
     for j in np.flatnonzero(flagged).tolist():
@@ -93,6 +97,8 @@ def _structural_report(graph: PrefixFreeGraph) -> ValidationReport:
             err(f"path {j} does not end with {k} pad characters")
         for t in np.flatnonzero(stray[b:e]).tolist():
             err(f"path {j} step {t}: padded segment {path[t]} is not path-final")
+        if not spells[j]:
+            err(f"path {j} ({graph.path_names[j]!r}) spells an empty sequence")
     return report
 
 

@@ -314,6 +314,13 @@ class TestPfg2Sa:
         gfa = "".join(l for l in running_gfa.splitlines(True) if not l.startswith("P"))
         assert run(pfg2sa_main, argv, gfa) == (0, "", "")
 
+    @pytest.mark.parametrize("argv", [[], ["--bwt"], ["--verify"]], ids=["plain", "bwt", "verify"])
+    def test_path_that_spells_no_letter_fails(self, argv):
+        # path q's one step is all pads: it spells an empty sequence
+        gfa = "H\tTL:i:2\nS\t0\t..\nS\t1\tAC..\nP\tp\t1+\t*\nP\tq\t0+\t*\n"
+        message = "GFA does not encode a valid prefix-free graph: path 1 ('q') spells an empty sequence"
+        assert run(pfg2sa_main, argv, gfa) == (1, "", f"pfg2sa: {message}\n")
+
     @pytest.mark.parametrize("argv", [[], ["--bwt"]], ids=["plain", "bwt"])
     def test_unused_segment(self, running_gfa, argv):
         # without path s3, segment 4 (CGAC) has no occurrence

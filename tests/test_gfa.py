@@ -18,7 +18,7 @@ from pfg import (
     write_gfa,
 )
 
-from conftest import random_instance, rename_segments
+from conftest import make_graph, random_instance, rename_segments
 
 GFA_MODULE = importlib.import_module("pfg.gfa")
 DOCUMENT_MODULE = importlib.import_module("pfg.document")
@@ -95,9 +95,7 @@ class TestWriteGfa:
         assert sink.getvalue() == expected.getvalue()
 
     def test_single_segment(self):
-        from pfg import normalize
-
-        g = normalize({0: "AB.."}, [[0]], k=2)
+        g = make_graph(2, ["AB.."], [("p", [0])])
         buf = io.StringIO()
         write_gfa(g, buf)
         lines = buf.getvalue().splitlines()

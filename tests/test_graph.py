@@ -3,6 +3,7 @@ import random
 import re
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from pfg import (
@@ -13,12 +14,11 @@ from pfg import (
     TriggerSet,
     build_graph,
     build_suffix_table,
-    normalize,
     read_fasta,
     read_gfa,
     validate,
 )
-from pfg.graph import invalid_letter, reconstruct
+from pfg.graph import invalid_letter, normalize, reconstruct
 from pfg.validation import _structural_report, check_prefix_free
 
 from conftest import make_graph, proper_prefixes, random_dictionary
@@ -34,49 +34,38 @@ LETTERS_REGEX = re.compile("[^\x2f-\x7e]")
 # them), the line separator, a full-width letter and an emoji
 ODD_CHARACTERS = [chr(c) for c in range(0x180)] + ["\u2028", "\uff21", "\U0001F600"]
 
-DISCOVERY = {0: "CAC", 1: "ACG", 2: "CGTAC", 3: "ACT..", 4: "ACAC", 5: "CGAC"}
+DISCOVERY = ["CAC", "ACG", "CGTAC", "ACT..", "ACAC", "CGAC"]
 DISCOVERY_PATHS = [[0, 1, 2, 3], [0, 4, 3], [0, 1, 5, 3]]
+
+
+def discovered(contents, paths, k):
+    """``normalize`` on discovery-ordered ``contents`` and lists of ids."""
+    steps = np.array([sid for path in paths for sid in path], dtype=np.int32)
+    offsets = np.cumsum([0, *map(len, paths)])
+    return normalize(contents, steps, offsets, k, [f"p{j}" for j in range(len(paths))])
 
 
 class TestNormalize:
     def test_running_example_segment_order(self):
-        g = normalize(DISCOVERY, DISCOVERY_PATHS, k=2)
+        g = discovered(DISCOVERY, DISCOVERY_PATHS, k=2)
         assert [len(s.content) for s in g.segments] == [4, 3, 5, 3, 4, 5]
         assert [s.content for s in g.segments] == [
             "ACAC", "ACG", "ACT..", "CAC", "CGAC", "CGTAC",
         ]
 
     def test_running_example_paths_relabel(self):
-        g = normalize(DISCOVERY, DISCOVERY_PATHS, k=2)
+        g = discovered(DISCOVERY, DISCOVERY_PATHS, k=2)
         assert [path for _, path in g.paths] == [[3, 1, 5, 2], [3, 0, 2], [3, 1, 4, 2]]
+        assert g.steps.dtype == np.int32 and g.path_offsets.dtype == np.int64
 
     def test_single_sorted_segment_is_identity(self):
-        g = normalize({0: "AB.."}, [[0]], k=2)
+        g = discovered(["AB.."], [[0]], k=2)
         assert [s.content for s in g.segments] == ["AB.."]
         assert g.paths[0][1] == [0]
 
-    def test_duplicate_content_rejected(self):
-        with pytest.raises(StructureError, match="^duplicate segment content under distinct discovery ids$"):
-            normalize({0: "CAC", 1: "CAC"}, [[0, 1]], k=2)
-
-    def test_unknown_id_names_its_path(self):
-        with pytest.raises(StructureError, match="^path 'b' references unknown segment 7$"):
-            normalize(DISCOVERY, [[0, 1, 2, 3], [0, 7, 3]], k=2, names=["a", "b"])
-        with pytest.raises(StructureError, match="^path 'path_3' references unknown segment -1$"):
-            normalize(DISCOVERY, [*DISCOVERY_PATHS, [-1]], k=2)
-
-    @pytest.mark.parametrize("names", [["a", "b"], ["a", "b", "c", "d"]], ids=["fewer", "more"])
-    def test_names_and_paths_of_different_lengths_rejected(self, names):
-        with pytest.raises(ValueError):
-            normalize(DISCOVERY, DISCOVERY_PATHS, k=2, names=names)
-
     def test_idempotent(self):
-        g = normalize(DISCOVERY, DISCOVERY_PATHS, k=2)
-        again = normalize(
-            dict(enumerate(s.content for s in g.segments)),
-            [path for _, path in g.paths],
-            k=2,
-        )
+        g = discovered(DISCOVERY, DISCOVERY_PATHS, k=2)
+        again = normalize(g.join.contents(), g.steps, g.path_offsets, 2, g.path_names)
         assert [s.content for s in again.segments] == [s.content for s in g.segments]
         assert [p for _, p in again.paths] == [p for _, p in g.paths]
 
@@ -99,7 +88,7 @@ class TestValidate:
 
     def test_length_k_segment_is_valid(self):
         # the partition never makes one, but nothing in the graph forbids it
-        g = normalize({0: "AC", 1: "ACT.."}, [[0, 1]], k=2)
+        g = make_graph(2, ["AC", "ACT.."], [("p", [0, 1])])
         assert validate(g).errors == []
 
     def test_overlap_violation_flagged(self, graph):
@@ -117,10 +106,15 @@ class TestValidate:
     def test_not_prefix_free_is_one_error(self):
         # "ACG" (segment 2, offset 1) is a proper prefix of "ACGT..", and
         # "GACG" of "GACGT..": only the first violation is reported
-        g = normalize({0: "GACG", 1: "CGACGT..", 2: "ACGT.."}, [[0, 1], [2]], k=2)
+        g = discovered(["GACG", "CGACGT..", "ACGT.."], [[0, 1], [2]], k=2)
         report = validate(g)
         assert len(report.errors) == 1
         assert "not prefix-free" in report.errors[0]
+
+    def test_path_that_spells_no_letter_flagged(self):
+        # "AC" spells path p; q's one step is all pads, so it spells nothing
+        g = make_graph(2, ["..", "AC.."], [("p", [1]), ("q", [0])])
+        assert validate(g).errors == ["path 1 ('q') spells an empty sequence"]
 
     def test_long_trigger_free_sequence_memory(self):
         # one segment of 100 kb: no suffix is sorted, and the window scan
@@ -169,15 +163,15 @@ class TestCheckPrefixFree:
 
     def test_suffix_of_own_segment(self):
         # "AAA" ends "AAAA" and starts its suffix at offset 0, k = 2
-        g = normalize({0: "AAAA"}, [[0]], k=2)
+        g = make_graph(2, ["AAAA"], [("p", [0])])
         with pytest.raises(StructureError, match="segment 0 at offset 1 is a proper prefix of the suffix of segment 0 at offset 0$"):
             check_prefix_free(g)
 
     def test_suffixes_of_k_letters_are_not_checked(self):
         # "AC" is a prefix of "ACG..", but no suffix of k letters is kept
-        check_prefix_free(normalize({0: "AC", 1: "ACG.."}, [[0, 1]], k=2))
-        check_prefix_free(normalize({0: "ACGTACGT"}, [[0]], k=9))
-        check_prefix_free(normalize({}, [], k=3))
+        check_prefix_free(make_graph(2, ["AC", "ACG.."], [("p", [0, 1])]))
+        check_prefix_free(make_graph(9, ["ACGTACGT"], [("p", [0])]))
+        check_prefix_free(make_graph(3, [], []))
 
 
 def errors(graph):
@@ -251,6 +245,7 @@ class TestStructuralReport:
             "segment 2 has misplaced pad characters",
             "path 0 step 1: adjacent segments do not overlap by k",
             "path 0 does not end with 2 pad characters",
+            "path 0 ('a') spells an empty sequence",
             "path 1 step 1: adjacent segments do not overlap by k",
             "path 1 step 2: adjacent segments do not overlap by k",
             "path 1 step 0: padded segment 1 is not path-final",
@@ -265,7 +260,7 @@ class TestReconstruct:
         assert reconstruct(graph, 2) == "CACGACT"
 
     def test_single_segment(self):
-        g = normalize({0: "XY.."}, [[0]], k=2)
+        g = make_graph(2, ["XY.."], [("p", [0])])
         assert reconstruct(g, 0) == "XY"
 
 

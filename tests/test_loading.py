@@ -95,4 +95,4 @@ def test_package_loads_no_submodule():
 def test_every_public_name_resolves():
     code = "import json, pfg; print(json.dumps([hasattr(pfg, name) for name in pfg.__all__]))"
     resolved = python(code)
-    assert len(resolved) == 19 and all(resolved)
+    assert len(resolved) == 18 and all(resolved)

@@ -1,7 +1,6 @@
 from pfg import (
     build_graph,
     build_segment_table,
-    normalize,
     Pangenome,
     TriggerSet,
 )
@@ -14,7 +13,7 @@ from pfg.occurrences import (
     right_context_ranks,
 )
 
-from conftest import SEGMENT_TABLE_ROWS, occurrences
+from conftest import SEGMENT_TABLE_ROWS, make_graph, occurrences
 
 
 class TestPathJoin:
@@ -29,11 +28,11 @@ class TestPathJoin:
         assert symbols.tolist() == expected
 
     def test_single_path(self):
-        g = normalize({0: "AB.."}, [[0]], k=2)
+        g = make_graph(2, ["AB.."], [("p", [0])])
         assert build_path_join(g).tolist() == [2, SEP, END]
 
     def test_identical_paths_repeat(self):
-        g = normalize({0: "AB.."}, [[0], [0]], k=2)
+        g = make_graph(2, ["AB.."], [("p", [0]), ("q", [0])])
         assert build_path_join(g).tolist() == [2, SEP, 2, SEP, END]
 
 
@@ -103,7 +102,7 @@ class TestPositionOwnership:
         assert sorted(owned) == list(range(21))
 
     def test_single_segment_graph(self):
-        g = normalize({0: "AB.."}, [[0]], k=2)
+        g = make_graph(2, ["AB.."], [("p", [0])])
         table = build_segment_table(g)
         assert table.lengths.tolist() == [4]
         assert len(occurrences(table, 0)) == 1

@@ -14,7 +14,6 @@ from pfg import (
     build_graph,
     build_segment_table,
     build_suffix_table,
-    normalize,
     stream,
     validate,
 )
@@ -22,13 +21,13 @@ from pfg.oracle import oracle_bwt, oracle_sa, oracle_text
 from pfg.emission import emission_batches
 from pfg.suffixes import SuffixTable
 
-from conftest import FULL_SA, SUFFIX_TABLE_ROWS, proper_prefixes, random_dictionary, random_instance
+from conftest import FULL_SA, SUFFIX_TABLE_ROWS, make_graph, proper_prefixes, random_dictionary, random_instance
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 STREAM_MODULE = importlib.import_module("pfg.emission")
 
 # "ACG" (segment 2, offset 1) is a proper prefix of "ACGT.." and "ACGTT.."
-NOT_PREFIX_FREE = 'normalize({0: "GACG", 1: "CGACGT..", 2: "ACGTT.."}, [[0], [1], [2]], k=2)'
+NOT_PREFIX_FREE = 'normalize(["GACG", "CGACGT..", "ACGTT.."], [0, 1, 2], [0, 1, 2, 3], 2, ["a", "b", "c"])'
 
 
 @pytest.fixture
@@ -83,7 +82,8 @@ class TestChecks:
     def test_prefix_freeness_violation_raises_before_first_row(self, flags):
         code = textwrap.dedent(
             f"""
-            from pfg import StructureError, build_segment_table, build_suffix_table, normalize, stream
+            from pfg import StructureError, build_segment_table, build_suffix_table, stream
+            from pfg.graph import normalize
             g = {NOT_PREFIX_FREE}
             rows = 0
             try:
@@ -197,7 +197,7 @@ class TestProperties:
         assert all(a < b for a, b in zip(suffixes, suffixes[1:]))
 
     def test_single_segment_stream(self):
-        g = normalize({0: "AB.."}, [[0]], k=2)
+        g = make_graph(2, ["AB.."], [("p", [0])])
         table = build_suffix_table(g)
         seg = build_segment_table(g)
         assert [e.sa for e in stream(g, table, seg)] == [0, 1]

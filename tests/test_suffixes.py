@@ -4,7 +4,7 @@ from functools import cmp_to_key
 import numpy as np
 import pytest
 
-from pfg import build_graph, build_suffix_table, normalize, suffixes
+from pfg import build_graph, build_suffix_table, suffixes
 from pfg.graph import char_rank
 from pfg.suffixes import (
     _packed_keys,
@@ -17,7 +17,7 @@ from pfg.suffixes import (
     suffix_array,
 )
 
-from conftest import SUFFIX_TABLE_ROWS, random_dictionary, random_instance, runs, separator_runs
+from conftest import SUFFIX_TABLE_ROWS, make_graph, random_dictionary, random_instance, runs, separator_runs
 
 
 def naive_suffix_array(text):
@@ -57,11 +57,11 @@ class TestBuildJoin:
         assert join.boundaries.tolist() == [0, 5, 9, 15, 19, 24]
 
     def test_single_segment(self):
-        g = normalize({0: "AB.."}, [[0]], k=2)
+        g = make_graph(2, ["AB.."], [("p", [0])])
         assert build_join(g).text == b"AB..#$"
 
     def test_two_segments(self):
-        g = normalize({0: "X..", 1: "XY.."}, [[0]], k=2)
+        g = make_graph(2, ["X..", "XY.."], [("p", [0])])
         assert build_join(g).text == b"X..#XY..#$"
 
 
@@ -258,7 +258,7 @@ class TestSuffixTable:
         # shared prefix passes their separator
         rng = random.Random(9200)
         contents = {("ACG" * 100)[: rng.randint(20, 300)] + rng.choice(["", "T", "TT"]) for _ in range(12)}
-        assert_runs_match(normalize(dict(enumerate(contents)), [[i] for i in range(len(contents))], k=1))
+        assert_runs_match(make_graph(1, sorted(contents), [(f"p{i}", [i]) for i in range(len(contents))]))
 
     def test_reach_runs_to_each_separator(self):
         assert _reach(b"AB..#C#$").tolist() == [5, 4, 3, 2, 1, 2, 1, 1]
