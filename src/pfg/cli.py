@@ -9,6 +9,7 @@ reader of standard output went away.
 from __future__ import annotations
 
 import argparse
+import gc
 import io
 import os
 import sys
@@ -52,13 +53,24 @@ def _run_builder(pangenome, args, stdout):
     return 0
 
 
-def _run_tool(tool, body, args, stdin, stdout, stderr):
-    """Run ``body`` at a tool's boundary and return its exit status.
+def _run_tool(body, parser, argv, stdin, stdout, stderr):
+    """Parse ``argv`` with ``parser``, run ``body`` at a tool's boundary and
+    return its exit status.
 
     Bad input and failed I/O print one ``tool: ...`` line and give 1.  A
     reader that closed the output pipe ends the tool quietly with 141, the
     status of a filter killed by SIGPIPE.
+
+    Without ``argv`` the tool runs as a program: it reads ``sys.argv`` and
+    the process ends when it returns.  Everything loaded by then, numpy
+    above all, is frozen out of the garbage collector, so that neither a
+    full collection during the run nor those the interpreter runs at exit
+    traverses it.  A call with an argument list leaves the caller's
+    collector alone.
     """
+    args = parser.parse_args(argv)
+    if argv is None:
+        gc.freeze()
     stdout = stdout or sys.stdout
     stderr = stderr or sys.stderr
     try:
@@ -69,7 +81,7 @@ def _run_tool(tool, body, args, stdin, stdout, stderr):
         _discard_output(stdout)
         return 141
     except (PfgError, OSError, UnicodeDecodeError) as exc:
-        print(f"{tool}: {exc}", file=stderr)
+        print(f"{parser.prog}: {exc}", file=stderr)
         return 1
 
 
@@ -111,14 +123,14 @@ def _gfa2pfg(args, stdin, stdout, stderr):
 
 def fasta2pfg_main(argv=None, stdin=None, stdout=None, stderr=None):
     """Build a normalized prefix-free graph from FASTA and print it as GFA."""
-    args = _builder_parser("fasta2pfg", fasta2pfg_main.__doc__).parse_args(argv)
-    return _run_tool("fasta2pfg", _fasta2pfg, args, stdin, stdout, stderr)
+    parser = _builder_parser("fasta2pfg", fasta2pfg_main.__doc__)
+    return _run_tool(_fasta2pfg, parser, argv, stdin, stdout, stderr)
 
 
 def gfa2pfg_main(argv=None, stdin=None, stdout=None, stderr=None):
     """Re-partition the paths of a GFA graph and print the result as GFA."""
-    args = _builder_parser("gfa2pfg", gfa2pfg_main.__doc__).parse_args(argv)
-    return _run_tool("gfa2pfg", _gfa2pfg, args, stdin, stdout, stderr)
+    parser = _builder_parser("gfa2pfg", gfa2pfg_main.__doc__)
+    return _run_tool(_gfa2pfg, parser, argv, stdin, stdout, stderr)
 
 
 _TAB, _NEWLINE, _ZERO = b"\t\n0"
@@ -200,4 +212,4 @@ def pfg2sa_main(argv=None, stdin=None, stdout=None, stderr=None):
         action="store_true",
         help="cross-check against the brute-force oracle (small inputs only)",
     )
-    return _run_tool("pfg2sa", _pfg2sa, parser.parse_args(argv), stdin, stdout, stderr)
+    return _run_tool(_pfg2sa, parser, argv, stdin, stdout, stderr)

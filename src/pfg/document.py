@@ -63,14 +63,16 @@ def read_columns(data: bytes) -> GfaDocument:
     error of its first bad record.  Records are checked in two passes, each
     in line order.  The first checks each record on its own: H tags; an
     S-record's fields, name and letters; an L-record's fields, orientations
-    and overlap; a P-record's fields and name.  The second checks the names
-    that L- and P-records give, then each P-record's overlaps."""
+    and overlap; a P-record's fields and name; and that no record is a
+    W-record.  The second checks the names that L- and P-records give, then
+    each P-record's overlaps."""
     records = Records(data)
     buf = records.buf
     failures = Failures()
     s_rows = _with_fields(records, "S", 2, "S-record needs a name and a sequence", failures)
     l_rows = _with_fields(records, "L", 5, "L-record needs five fields", failures)
     p_rows = _with_fields(records, "P", 3, "P-record needs a name, steps and overlaps", failures)
+    failures.check(records.kind("W"), 0, lambda f: "walks (W-records) are unsupported")
     header_tags = _header_tags(records, failures)
     ids, repeated, locate = segment_names(buf, *records.field(1, s_rows))
     join, bad_letter = _segment_join(records, s_rows)
@@ -110,15 +112,24 @@ def _with_fields(records: Records, letter: str, tabs: int, message: str, failure
 
 
 def _header_tags(records: Records, failures: Failures) -> dict[str, str]:
-    """The tags of the H-records before the first malformed tag."""
+    """The values of the H-records' tags before the first bad one: a tag
+    that is not ``NAME:TYPE:VALUE``, or a ``TL`` tag of a type other than
+    ``i`` or after another ``TL`` tag."""
     tags = {}
     for row in records.kind("H").tolist():
         for raw in records.fields(row)[1:]:
             parts = raw.split(":", 2)
             if len(parts) != 3:
-                failures.append((row, lambda f: f"malformed tag {raw!r}"))
-                return tags
-            tags[parts[0]] = parts[2]
+                problem = f"malformed tag {raw!r}"
+            elif parts[0] == "TL" and parts[1] != "i":
+                problem = f"TL header tag must have type i, not {parts[1]!r}"
+            elif parts[0] == "TL" and "TL" in tags:
+                problem = "TL header tag is repeated"
+            else:
+                tags[parts[0]] = parts[2]
+                continue
+            failures.append((row, lambda f: problem))
+            return tags
     return tags
 
 

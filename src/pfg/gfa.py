@@ -2,10 +2,10 @@
 
 Graphs are written with pad dots included in the S-lines and the trigger
 length recorded as a ``TL`` header tag, so a GFA file alone fully
-determines the graph and its joins.  Reverse orientations and GFA 2.0 are
-unsupported.  ``read_gfa`` reads a file into a columnar ``GfaDocument``
-(``document.read_columns``); ``graph_from_gfa`` and ``expand_gfa_paths``
-turn a document into a graph or into sequences.
+determines the graph and its joins.  Reverse orientations, walks
+(W-records) and GFA 2.0 are unsupported.  ``read_gfa`` reads a file into a
+columnar ``GfaDocument`` (``document.read_columns``); ``graph_from_gfa``
+and ``expand_gfa_paths`` turn a document into a graph or into sequences.
 """
 
 from __future__ import annotations

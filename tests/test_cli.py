@@ -1,3 +1,4 @@
+import gc
 import importlib
 import io
 import os
@@ -62,6 +63,12 @@ def running_gfa(trigger_file):
     status, gfa, _ = run(fasta2pfg_main, ["-t", trigger_file], FASTA)
     assert status == 0
     return gfa
+
+
+def tool_input(tool, trigger_file, gfa):
+    """The arguments and input of a run of ``tool`` on the running example."""
+    argv = [] if tool == "pfg2sa" else ["-t", trigger_file]
+    return argv, FASTA if tool == "fasta2pfg" else gfa
 
 
 def stream_lines(gfa, bwt):
@@ -183,11 +190,7 @@ class TestGfa2Pfg:
         assert (status, err) == (0, "")
         assert [l for l in out.splitlines() if l.startswith("P")] == ["P\tp\t0+,1+\t2M"]
 
-    @pytest.mark.parametrize(
-        "gfa",
-        ["", "H\tVN:Z:1.0\tTL:i:2\nS\t0\tACGT\n", "H\tVN:Z:1.1\nS\t0\tACGT\nW\tsample\t1\tchr1\t0\t4\t>0\n"],
-        ids=["empty", "segments-only", "walks-only"],
-    )
+    @pytest.mark.parametrize("gfa", ["", "H\tVN:Z:1.0\tTL:i:2\nS\t0\tACGT\n"], ids=["empty", "segments-only"])
     def test_no_paths_fails(self, trigger_file, gfa):
         assert run(gfa2pfg_main, ["-t", trigger_file], gfa) == (1, "", "gfa2pfg: no P-records found\n")
 
@@ -446,6 +449,65 @@ class TestOverlapTokens:
         assert run(MAINS[tool], argv, gfa) == (1, "", f"{tool}: line {line}: unsupported overlap {token!r}\n")
 
 
+class TestUnsupportedRecords:
+    """Walks and a trigger length tag that cannot be read fail with one line."""
+
+    @pytest.mark.parametrize("tool", ["gfa2pfg", "pfg2sa"])
+    @pytest.mark.parametrize("paths", ["", "P\tp\t0+,1+\t2M\n"], ids=["walks-only", "with-paths"])
+    def test_walks_fail(self, tool, paths, trigger_file):
+        # pfg2sa printed nothing on the walks alone, and gfa2pfg kept only the P-path
+        gfa = "H\tVN:Z:1.1\tTL:i:2\nS\t0\tACG\nS\t1\tCGT..\n" + paths + "W\tsample\t1\tchr1\t0\t4\t>0>1\n"
+        argv = ["-t", trigger_file] if tool == "gfa2pfg" else []
+        line = gfa.count("\n")
+        assert run(MAINS[tool], argv, gfa) == (1, "", f"{tool}: line {line}: walks (W-records) are unsupported\n")
+
+    @pytest.mark.parametrize("tool", ["gfa2pfg", "pfg2sa"])
+    @pytest.mark.parametrize(
+        "header, message",
+        [
+            ("H\tTL:Z:2\n", "line 1: TL header tag must have type i, not 'Z'"),
+            ("H\tVN:Z:1.0\tTL:f:2\n", "line 1: TL header tag must have type i, not 'f'"),
+            ("H\tTL:i:1\nH\tTL:i:2\n", "line 2: TL header tag is repeated"),
+            ("H\tTL:i:2\tTL:i:2\n", "line 1: TL header tag is repeated"),
+        ],
+        ids=["string", "float", "two-records", "one-record"],
+    )
+    def test_trigger_length_tag_must_be_one_integer(self, tool, header, message, trigger_file, running_gfa):
+        gfa = header + "".join(l for l in running_gfa.splitlines(True) if not l.startswith("H"))
+        argv = ["-t", trigger_file] if tool == "gfa2pfg" else []
+        assert run(MAINS[tool], argv, gfa) == (1, "", f"{tool}: {message}\n")
+
+
+class TestCollector:
+    """A tool run as a program freezes the objects loaded before it reads
+    its input, so that the collections at exit skip them; a call with an
+    argument list leaves the caller's collector alone."""
+
+    @pytest.mark.parametrize("tool", sorted(MAINS))
+    def test_program_freezes_the_loaded_heap(self, tool, trigger_file, running_gfa):
+        argv, text = tool_input(tool, trigger_file, running_gfa)
+        code = (
+            f"import gc, sys; from pfg.cli import {tool}_main as main; "
+            "status = main(); print(gc.get_freeze_count(), file=sys.stderr); sys.exit(status)"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code, *argv],
+            input=text.encode(),
+            capture_output=True,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            timeout=60,
+        )
+        assert (result.returncode, result.stdout.decode()) == (0, run(MAINS[tool], argv, text)[1])
+        assert int(result.stderr) > 0
+
+    @pytest.mark.parametrize("tool", sorted(MAINS))
+    def test_call_with_arguments_leaves_the_collector_alone(self, tool, trigger_file, running_gfa):
+        argv, text = tool_input(tool, trigger_file, running_gfa)
+        frozen = gc.get_freeze_count()
+        status, _, err = run(MAINS[tool], argv, text)
+        assert (status, err, gc.get_freeze_count()) == (0, "", frozen)
+
+
 class ClosedPipe(io.StringIO):
     """An output whose reader has gone away."""
 
@@ -495,8 +557,7 @@ class TestBoundary:
 
     @pytest.mark.parametrize("tool", sorted(MAINS))
     def test_closed_output_pipe_exits_quietly(self, tool, trigger_file, running_gfa):
-        argv = [] if tool == "pfg2sa" else ["-t", trigger_file]
-        text = FASTA if tool == "fasta2pfg" else running_gfa
+        argv, text = tool_input(tool, trigger_file, running_gfa)
         stderr = io.StringIO()
         status = MAINS[tool](argv, stdin=io.StringIO(text), stdout=ClosedPipe(), stderr=stderr)
         assert (status, stderr.getvalue()) == (141, "")

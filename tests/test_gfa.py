@@ -303,8 +303,30 @@ class TestReadGfa:
         assert (doc.header_tags, doc.join.contents(), doc.path_names) == ({"TL": "2"}, ["AC.."], ["p"])
 
     def test_unknown_record_types_ignored(self):
-        doc = read_gfa(io.StringIO("W\twhatever\nS\t0\tACGT\n"))
+        doc = read_gfa(io.StringIO("X\twhatever\nS\t0\tACGT\n"))
         assert doc.join.contents() == ["ACGT"]
+
+    @pytest.mark.parametrize("walk", ["W\tsample\t1\tchr1\t0\t4\t>0", "W\twhatever", "W"], ids=["full", "short", "bare"])
+    def test_walks_rejected(self, walk):
+        with pytest.raises(FormatError) as exc:
+            read_gfa(io.StringIO(f"S\t0\tACGT\nP\tp\t0+\t*\n{walk}\nW\tsecond\n"))
+        assert str(exc.value) == "line 3: walks (W-records) are unsupported"
+
+    @pytest.mark.parametrize(
+        "header, message",
+        [
+            ("H\tTL:Z:1\n", "line 1: TL header tag must have type i, not 'Z'"),
+            ("H\tVN:Z:1.0\tTL:f:1\n", "line 1: TL header tag must have type i, not 'f'"),
+            ("H\tTL:i:1\nH\tVN:Z:1.0\tTL:i:2\n", "line 2: TL header tag is repeated"),
+            ("H\tTL:i:2\tTL:i:2\n", "line 1: TL header tag is repeated"),
+            ("H\tVN:Z:1.0\nH\tTL:i:2\tTL\n", "line 2: malformed tag 'TL'"),
+        ],
+        ids=["string", "float", "two-records", "one-record", "malformed"],
+    )
+    def test_header_tag_errors_name_their_line(self, header, message):
+        with pytest.raises(FormatError) as exc:
+            read_gfa(io.StringIO(header + "S\t0\tAC..\nP\tp\t0+\t*\n"))
+        assert str(exc.value) == message
 
 
 class TestExpandPaths:
@@ -385,7 +407,7 @@ class TestFixedPoint:
 
 # optional fields and records of types that the reader skips
 EXTRA_TAGS = ["LN:i:7", "RC:i:3", "xy:Z:some tag", "KC:f:0.5"]
-SKIPPED_LINES = ["", "W\tsample\t1\tchr1\t0\t4\t>0", "C\t0\t+\t1\t+\t0\t*", "# not a record"]
+SKIPPED_LINES = ["", "J\t0\t+\t1\t+\t*", "C\t0\t+\t1\t+\t0\t*", "# not a record"]
 
 
 def respell(gfa: str, rng: random.Random) -> str:
