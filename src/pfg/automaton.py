@@ -66,13 +66,16 @@ class TriggerScanner:
         self.words = frozenset(triggers.words)
         self.exact = self.k <= _PACKED_LETTERS
         self.base = np.uint64(256 if self.exact else _HASH_BASE)
-        self.codes = np.array([self._hashes(w.encode("ascii"))[0] for w in triggers.words])
+        # the words back to back, hashed in one pass: word i is window i * k;
+        # copied, so that the windows that straddle two words are freed
+        self.codes = self._hashes("".join(triggers.words).encode("ascii"))[:: self.k].copy()
 
     def _hashes(self, letters: bytes) -> np.ndarray:
-        """Hash of every k-window of ``letters``, indexed by window start."""
+        """Hash of every k-window of ``letters``, indexed by window start;
+        none when ``letters`` is shorter than k."""
         k = self.k
         data = np.frombuffer(letters, dtype=np.uint8)
-        hashes = np.zeros(len(data) - k + 1, dtype=np.uint64)
+        hashes = np.zeros(max(len(data) - k + 1, 0), dtype=np.uint64)
         for j in range(k):
             hashes *= self.base
             hashes += data[j : j + len(hashes)]

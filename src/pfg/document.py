@@ -11,7 +11,6 @@ import sys
 
 import numpy as np
 
-from .errors import FormatError
 from .graph import _MAX_INPUT, _MIN_INPUT, PAD, SENTINEL, SEPARATOR, SegmentJoin, invalid_letter
 from .paths import overlap_values, read_paths, segment_names
 from .records import Failures, Records, first, gather
@@ -31,7 +30,7 @@ class GfaDocument:
 
     def __init__(
         self,
-        header_tags: dict[str, str],
+        k: int | None,
         join: SegmentJoin,
         ids: np.ndarray,
         steps: np.ndarray,
@@ -39,23 +38,13 @@ class GfaDocument:
         path_names: list[str],
         overlaps: np.ndarray,
     ):
-        self.header_tags = header_tags
+        self.k = k  # the TL header tag's value, None without one
         self.join = join
         self.ids = ids  # int64
         self.steps = steps  # int32
         self.path_offsets = path_offsets  # int64, one more than the path count
         self.path_names = path_names
         self.overlaps = overlaps  # int64, one per step
-
-    @property
-    def trigger_length(self) -> int | None:
-        tag = self.header_tags.get("TL")
-        if tag is None:
-            return None
-        k = int(tag) if tag.isascii() and tag.isdigit() else 0
-        if not 0 < k <= sys.maxsize:
-            raise FormatError(f"TL header tag must be a positive integer up to {sys.maxsize}")
-        return k
 
 
 def read_columns(data: bytes) -> GfaDocument:
@@ -73,7 +62,7 @@ def read_columns(data: bytes) -> GfaDocument:
     l_rows = _with_fields(records, "L", 5, "L-record needs five fields", failures)
     p_rows = _with_fields(records, "P", 3, "P-record needs a name, steps and overlaps", failures)
     failures.check(records.kind("W"), 0, lambda f: "walks (W-records) are unsupported")
-    header_tags = _header_tags(records, failures)
+    k = _header_tags(records, failures)
     ids, repeated, locate = segment_names(buf, *records.field(1, s_rows))
     join, bad_letter = _segment_join(records, s_rows)
     failures.check(s_rows, first(repeated), lambda f: f"segment name {f[1]!r} is repeated")
@@ -100,7 +89,7 @@ def read_columns(data: bytes) -> GfaDocument:
         p_rows = p_rows[p_rows < min(row for row, _ in failures)]
     steps, path_offsets, overlaps = read_paths(records, p_rows, locate)
     failures.raise_first(records)
-    return GfaDocument(header_tags, join, ids, steps, path_offsets, path_names, overlaps)
+    return GfaDocument(k, join, ids, steps, path_offsets, path_names, overlaps)
 
 
 def _with_fields(records: Records, letter: str, tabs: int, message: str, failures: Failures) -> np.ndarray:
@@ -111,26 +100,36 @@ def _with_fields(records: Records, letter: str, tabs: int, message: str, failure
     return rows[:short]
 
 
-def _header_tags(records: Records, failures: Failures) -> dict[str, str]:
-    """The values of the H-records' tags before the first bad one: a tag
-    that is not ``NAME:TYPE:VALUE``, or a ``TL`` tag of a type other than
-    ``i`` or after another ``TL`` tag."""
-    tags = {}
+def _header_tags(records: Records, failures: Failures) -> int | None:
+    """The ``TL`` tag's value, None without one, from the H-records' tags
+    before the first bad one: a tag that is not ``NAME:TYPE:VALUE``, or a
+    ``TL`` tag of a type other than ``i``, after another ``TL`` tag, or
+    whose value is not a positive integer up to ``sys.maxsize``."""
+    k = None
     for row in records.kind("H").tolist():
         for raw in records.fields(row)[1:]:
             parts = raw.split(":", 2)
             if len(parts) != 3:
                 problem = f"malformed tag {raw!r}"
-            elif parts[0] == "TL" and parts[1] != "i":
+            elif parts[0] != "TL":
+                continue
+            elif parts[1] != "i":
                 problem = f"TL header tag must have type i, not {parts[1]!r}"
-            elif parts[0] == "TL" and "TL" in tags:
+            elif k is not None:
                 problem = "TL header tag is repeated"
             else:
-                tags[parts[0]] = parts[2]
-                continue
+                # ASCII digits only, as int() also takes " 1", "+1" and "1_0";
+                # and no more of them than sys.maxsize has, as int() refuses
+                # a string of thousands
+                value = parts[2]
+                if value.isascii() and value.isdigit() and len(value) <= len(str(sys.maxsize)):
+                    k = int(value)
+                    if 0 < k <= sys.maxsize:
+                        continue
+                problem = f"TL header tag must be a positive integer up to {sys.maxsize}"
             failures.append((row, lambda f: problem))
-            return tags
-    return tags
+            return None
+    return k
 
 
 def _segment_join(records: Records, rows: np.ndarray) -> tuple[SegmentJoin, int]:

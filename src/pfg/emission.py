@@ -73,6 +73,7 @@ def emission_batches(
     # first row of every block, then the end
     first_rows = np.flatnonzero(np.append(head, True))
     text = np.frombuffer(graph.join.text, dtype=np.uint8)
+    boundaries = graph.join.boundaries
     # every rank is below this, so block * rank_bound + rank orders by both
     rank_bound = int(segment_table.rank.max()) + 1 if len(segment_table.rank) else 1
     b = 0
@@ -96,11 +97,13 @@ def emission_batches(
         order = np.argsort(key, kind="stable")
         row_of = np.repeat(np.arange(r0, r1), n_occ)[order]
         occ = occ[order]
+        seg = suffix_table.seg_id[row_of]
         pos = suffix_table.pos[row_of]
         bwt = None
         if with_bwt:
-            bwt = np.where(pos > 0, text[suffix_table.sa[row_of] - 1], segment_table.prev[occ])
-        yield Batch(e0, segment_table.start[occ] + pos, suffix_table.seg_id[row_of], pos, bwt)
+            # the letter before a row's suffix in the join, where pos > 0
+            bwt = np.where(pos > 0, text[boundaries[seg] + pos - 1], segment_table.prev[occ])
+        yield Batch(e0, segment_table.start[occ] + pos, seg, pos, bwt)
         b = c
 
 

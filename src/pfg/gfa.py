@@ -148,7 +148,7 @@ def graph_from_gfa(doc: GfaDocument) -> PrefixFreeGraph:
 
     The S-records are put in id order; prefix-freeness is left to the
     stream, which checks it before it emits."""
-    k = doc.trigger_length
+    k = doc.k
     if k is None:
         raise FormatError("missing TL header tag (trigger length)")
     n = len(doc.ids)

@@ -16,16 +16,16 @@ class SuffixTable:
     """Parallel columns over the segment join's suffixes whose segment suffix
     is longer than k, the rows that emit, sorted up to each one's separator:
     int32, or int64 for a join of 2**31 symbols or more.  A block's rows
-    come in no particular order."""
+    come in no particular order.  A row's join position is
+    ``join.boundaries[seg_id] + pos`` and is not stored."""
 
-    def __init__(self, sa: np.ndarray, seg_id: np.ndarray, pos: np.ndarray, head: np.ndarray):
-        self.sa = sa
+    def __init__(self, seg_id: np.ndarray, pos: np.ndarray, head: np.ndarray):
         self.seg_id = seg_id
         self.pos = pos
         self.head = head  # bool, each block's first row
 
     def __len__(self) -> int:
-        return len(self.sa)
+        return len(self.seg_id)
 
 
 def build_join(graph: PrefixFreeGraph) -> SegmentJoin:
@@ -225,4 +225,4 @@ def build_suffix_table(graph: PrefixFreeGraph) -> SuffixTable:
     sa, head = sa[kept], head[kept]
     del kept
     seg_id, pos = annotate(join, sa)
-    return SuffixTable(sa=sa, seg_id=seg_id, pos=pos, head=head)
+    return SuffixTable(seg_id=seg_id, pos=pos, head=head)

@@ -70,6 +70,11 @@ def runs(head, *columns) -> list[list[tuple]]:
     return [sorted(rows[a:b]) for a, b in zip(cuts, cuts[1:])]
 
 
+def join_positions(graph, table) -> np.ndarray:
+    """The join position of each row of suffix table ``table``."""
+    return graph.join.boundaries[table.seg_id] + table.pos
+
+
 def occurrences(table, sid):
     """(start, rank, prev) of each occurrence of segment ``sid``, in rank order."""
     lo, hi = table.offsets[sid], table.offsets[sid + 1]

@@ -4,9 +4,13 @@ Run with ``pytest tests/test_acceptance.py -s`` to see the per-criterion
 lines as they complete.
 """
 
+import json
 import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -17,7 +21,9 @@ from pfg import (
     build_segment_table,
     build_suffix_table,
     stream,
+    write_gfa,
 )
+from pfg.emission import emission_batches
 from pfg.oracle import oracle_bwt, oracle_sa, oracle_text
 from pfg.suffixes import annotate, build_join, lcp_array, suffix_array
 
@@ -30,6 +36,7 @@ from conftest import (
 )
 
 RANDOM_INSTANCES = 500
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def report(criterion, ok, detail=""):
@@ -236,11 +243,9 @@ def test_criterion_8_space_contract(large_instance, large_graph):
     baseline = current_rss()
     peak_growth = 0
     count = 0
-    for e in stream(graph, suffix_table, segment_table):
-        count += 1
-        if count % 500_000 == 0:
-            peak_growth = max(peak_growth, current_rss() - baseline)
-    peak_growth = max(peak_growth, current_rss() - baseline)
+    for batch in emission_batches(graph, suffix_table, segment_table):
+        count += len(batch.sa)
+        peak_growth = max(peak_growth, current_rss() - baseline)
     n = pangenome.total_length
     ok = count == n and peak_growth < 100 * 1024 * 1024
     report(
@@ -248,6 +253,60 @@ def test_criterion_8_space_contract(large_instance, large_graph):
         ok,
         f"streamed {count} emissions with {peak_growth / 1e6:.0f} MB growth "
         "(tables + one batch of emissions only)",
+    )
+
+
+# Launched ``pfg2sa --bwt`` peaks at most this many bytes above the floor
+# per graph unit, one join symbol or one path step.  Measured on a 2-core
+# host (Python 3.11, numpy 2.4): 38.2 B on shared and 33.6 B on unrelated
+# 256 x 30 kb, over a 26.8 MiB floor; the bound leaves 15% headroom.
+BYTES_PER_GRAPH_UNIT = 44
+
+
+def launched_peak(command, stdin) -> int:
+    """Peak RSS in bytes of ``command`` reading ``stdin``, its output
+    dropped.  It runs through perfbench's launcher: a child's peak never
+    reads below the RSS of the process that spawned it, and this one's is
+    large."""
+    launcher = [sys.executable, "-I", "-S", str(ROOT / "perfbench" / "launch.py")]
+    result = subprocess.run(
+        [*launcher, str(stdin), os.devnull, os.devnull, "--", *command],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        timeout=300,
+        check=True,
+    )
+    record = json.loads(result.stdout)
+    assert record["exit"] == 0, record
+    return record["maxrss_kb"] * 1024
+
+
+@pytest.fixture(scope="module")
+def unrelated_graph():
+    """256 unrelated random 30 kb sequences, with the stop-codon triggers:
+    the dictionary is about as large as the input."""
+    rng = random.Random(3)
+    sequences = [(f"u{j}", "".join(rng.choices("ACGT", k=30_000))) for j in range(256)]
+    return build_graph(Pangenome(sequences=sequences), TriggerSet.from_words(["TAA", "TAG", "TGA"]))
+
+
+@pytest.mark.parametrize("shape", ["shared", "unrelated"])
+def test_tool_peak_follows_the_graph(shape, large_graph, unrelated_graph, tmp_path):
+    graph = large_graph[0] if shape == "shared" else unrelated_graph
+    gfa = tmp_path / "graph.gfa"
+    with open(gfa, "w") as fh:
+        write_gfa(graph, fh)
+    floor = launched_peak([sys.executable, "-c", "import numpy"], os.devnull)
+    code = "import sys; from pfg.cli import pfg2sa_main as main; sys.exit(main())"
+    peak = launched_peak([sys.executable, "-c", code, "--bwt"], gfa)
+    units = len(graph.join.text) + len(graph.steps)
+    per_unit = (peak - floor) / units
+    report(
+        "8 (whole tool)",
+        per_unit <= BYTES_PER_GRAPH_UNIT,
+        f"pfg2sa --bwt on {shape} 256x30kb peaks {per_unit:.1f} B per graph unit "
+        f"above the floor ({units} units)",
     )
 
 

@@ -87,6 +87,17 @@ class TestAutomaton:
                 a = compile_triggers(TriggerSet.from_words(words))
                 assert a.match_ends(text).tolist() == naive_match_ends(text, words)
 
+    def test_thousands_of_long_words_agree_with_naive_scan(self):
+        # the words are hashed back to back in one pass; 10 letters take the
+        # wrapping hash, whose hits are confirmed against the words
+        rng = random.Random(10)
+        text = "".join(rng.choices("ACGT", k=20_000))
+        words = {text[i : i + 10] for i in rng.sample(range(len(text) - 9), 500)}
+        words |= {"".join(rng.choices("ACGT", k=10)) for _ in range(3000)}
+        a = compile_triggers(TriggerSet.from_words(words))
+        assert a.codes.tolist() == [int(a._hashes(w.encode("ascii"))[0]) for w in sorted(words)]
+        assert a.match_ends(text).tolist() == naive_match_ends(text, words)
+
     def test_overlapping_long_matches(self, monkeypatch):
         monkeypatch.setattr(scan_module, "SCAN_CHUNK", 10)
         a = compile_triggers(TriggerSet.from_words(["A" * 9]))

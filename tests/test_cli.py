@@ -120,6 +120,17 @@ class TestFasta2Pfg:
         assert status == 1
         assert "line 3" in err
 
+    @pytest.mark.parametrize(
+        "fasta, message",
+        [
+            (">\nACGT\n", "line 1: record has an empty name"),
+            ("ACGT\n>a\nAC\n", "line 1: sequence data before the first header"),
+        ],
+        ids=["empty-name", "data-before-header"],
+    )
+    def test_malformed_record_fails_with_one_line(self, trigger_file, fasta, message):
+        assert run(fasta2pfg_main, ["-t", trigger_file], fasta) == (1, "", f"fasta2pfg: {message}\n")
+
     def test_non_ascii_letter_rejected(self, tmp_path):
         triggers = tmp_path / "tag.txt"
         triggers.write_text("TAG\n")
@@ -204,6 +215,11 @@ class TestGfa2Pfg:
             expected = run(gfa2pfg_main, ["-t", trigger_file], gfa)
             assert expected[0] == 0
             assert run(gfa2pfg_main, ["-t", trigger_file], rename_segments(gfa, name)) == expected
+
+    def test_path_of_pads_fails(self, trigger_file):
+        gfa = "H\tTL:i:2\nS\t0\t..\nP\tp\t0+\t*\n"
+        message = "gfa2pfg: path 'p' expands to an empty sequence\n"
+        assert run(gfa2pfg_main, ["-t", trigger_file], gfa) == (1, "", message)
 
     def test_reverse_orientation_fails(self, trigger_file):
         gfa = "S\ta\tCACG\nP\ts1\ta-\t*\n"
@@ -339,7 +355,7 @@ class TestPfg2Sa:
         status, out, err = run(pfg2sa_main, [], gfa)
         assert status == 1
         assert out == ""
-        assert err.startswith("pfg2sa: TL header tag must be a positive integer") and err.count("\n") == 1
+        assert err == f"pfg2sa: line 1: TL header tag must be a positive integer up to {sys.maxsize}\n"
 
     def test_large_header_tag_allocates_nothing_of_its_size(self, running_gfa):
         gfa = running_gfa.replace("TL:i:2", "TL:i:100000000")
@@ -469,8 +485,13 @@ class TestUnsupportedRecords:
             ("H\tVN:Z:1.0\tTL:f:2\n", "line 1: TL header tag must have type i, not 'f'"),
             ("H\tTL:i:1\nH\tTL:i:2\n", "line 2: TL header tag is repeated"),
             ("H\tTL:i:2\tTL:i:2\n", "line 1: TL header tag is repeated"),
+            # gfa2pfg reads no k from the header, but its value is checked too
+            ("H\tTL:i:abc\n", f"line 1: TL header tag must be a positive integer up to {sys.maxsize}"),
+            ("H\tVN:Z:1.0\nH\tTL:i:0\n", f"line 2: TL header tag must be a positive integer up to {sys.maxsize}"),
+            ("H\tTL:i:1_0\n", f"line 1: TL header tag must be a positive integer up to {sys.maxsize}"),
+            (f"H\tTL:i:{'9' * 5000}\n", f"line 1: TL header tag must be a positive integer up to {sys.maxsize}"),
         ],
-        ids=["string", "float", "two-records", "one-record"],
+        ids=["string", "float", "two-records", "one-record", "letters", "zero", "underscore", "5000-digits"],
     )
     def test_trigger_length_tag_must_be_one_integer(self, tool, header, message, trigger_file, running_gfa):
         gfa = header + "".join(l for l in running_gfa.splitlines(True) if not l.startswith("H"))

@@ -113,7 +113,7 @@ class TestReadGfa:
         assert doc.steps.tolist() == graph.steps.tolist()
         assert doc.path_offsets.tolist() == [0, 4, 7, 11]
         assert doc.overlaps.tolist() == [0, 2, 2, 2, 0, 2, 2, 0, 2, 2, 2]
-        assert doc.trigger_length == 2
+        assert doc.k == 2
 
     def test_star_overlaps_accepted(self):
         doc = read_gfa(io.StringIO("S\ta\tAC\nS\tb\tGT\nP\tp\ta+,b+\t*\n"))
@@ -300,7 +300,7 @@ class TestReadGfa:
         text = f"H\tTL:i:2{cr}\nS\t0\tAC..{cr}\nP\tp\t0+\t*{cr}\n{cr}\n"
         # the column reader takes the file itself
         doc = DOCUMENT_MODULE.read_columns(text.encode())
-        assert (doc.header_tags, doc.join.contents(), doc.path_names) == ({"TL": "2"}, ["AC.."], ["p"])
+        assert (doc.k, doc.join.contents(), doc.path_names) == (2, ["AC.."], ["p"])
 
     def test_unknown_record_types_ignored(self):
         doc = read_gfa(io.StringIO("X\twhatever\nS\t0\tACGT\n"))
@@ -320,8 +320,10 @@ class TestReadGfa:
             ("H\tTL:i:1\nH\tVN:Z:1.0\tTL:i:2\n", "line 2: TL header tag is repeated"),
             ("H\tTL:i:2\tTL:i:2\n", "line 1: TL header tag is repeated"),
             ("H\tVN:Z:1.0\nH\tTL:i:2\tTL\n", "line 2: malformed tag 'TL'"),
+            ("H\tVN:Z:1.0\nH\tTL:i:0\n", f"line 2: TL header tag must be a positive integer up to {sys.maxsize}"),
+            ("H\tTL:i:+1\n", f"line 1: TL header tag must be a positive integer up to {sys.maxsize}"),
         ],
-        ids=["string", "float", "two-records", "one-record", "malformed"],
+        ids=["string", "float", "two-records", "one-record", "malformed", "zero", "signed"],
     )
     def test_header_tag_errors_name_their_line(self, header, message):
         with pytest.raises(FormatError) as exc:
@@ -446,7 +448,7 @@ def columns(graph):
 def document_columns(doc):
     join = doc.join
     return (
-        doc.header_tags,
+        doc.k,
         join.text,
         join.boundaries.tolist(),
         join.lengths.tolist(),

@@ -21,7 +21,15 @@ from pfg.oracle import oracle_bwt, oracle_sa, oracle_text
 from pfg.emission import emission_batches
 from pfg.suffixes import SuffixTable
 
-from conftest import FULL_SA, SUFFIX_TABLE_ROWS, make_graph, proper_prefixes, random_dictionary, random_instance
+from conftest import (
+    FULL_SA,
+    SUFFIX_TABLE_ROWS,
+    join_positions,
+    make_graph,
+    proper_prefixes,
+    random_dictionary,
+    random_instance,
+)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 STREAM_MODULE = importlib.import_module("pfg.emission")
@@ -109,8 +117,8 @@ class TestChecks:
     def test_emission_count_mismatch_raises_before_first_row(self, graph, tables):
         table, seg = tables
         # drop the row of segment 0, offset 0, which has one occurrence
-        row = int(np.flatnonzero(table.sa == 0)[0])
-        short = SuffixTable(*(np.delete(column, row) for column in (table.sa, table.seg_id, table.pos, table.head)))
+        row = int(np.flatnonzero(join_positions(graph, table) == 0)[0])
+        short = SuffixTable(*(np.delete(column, row) for column in (table.seg_id, table.pos, table.head)))
         emissions = stream(graph, short, seg)
         with pytest.raises(StructureError, match="20 emissions, expected 21"):
             next(emissions)
@@ -211,7 +219,7 @@ def shuffled_in_runs(table: SuffixTable, rng: random.Random) -> SuffixTable:
         run = list(range(a, b))
         rng.shuffle(run)
         order += run
-    return SuffixTable(table.sa[order], table.seg_id[order], table.pos[order], table.head)
+    return SuffixTable(table.seg_id[order], table.pos[order], table.head)
 
 
 def batch_bytes(graph, suffix_table, segment_table) -> bytes:

@@ -17,7 +17,15 @@ from pfg.suffixes import (
     suffix_array,
 )
 
-from conftest import SUFFIX_TABLE_ROWS, make_graph, random_dictionary, random_instance, runs, separator_runs
+from conftest import (
+    SUFFIX_TABLE_ROWS,
+    join_positions,
+    make_graph,
+    random_dictionary,
+    random_instance,
+    runs,
+    separator_runs,
+)
 
 
 def naive_suffix_array(text):
@@ -206,7 +214,7 @@ def assert_runs_match(graph):
     head, *columns = emitting(graph, head, sa, *annotate(join, sa))
     table = build_suffix_table(graph)
     assert table.head.tolist() == head
-    assert runs(table.head, table.sa, table.seg_id, table.pos) == runs(head, *columns)
+    assert runs(table.head, join_positions(graph, table), table.seg_id, table.pos) == runs(head, *columns)
 
 
 class TestSuffixTable:
@@ -220,7 +228,7 @@ class TestSuffixTable:
         head, sa, seg_id, pos = emitting(graph, head, sa, seg_id, pos)
         assert len(table) == 12
         assert table.head.tolist() == head
-        assert runs(table.head, table.sa, table.seg_id, table.pos) == runs(head, sa, seg_id, pos)
+        assert runs(table.head, join_positions(graph, table), table.seg_id, table.pos) == runs(head, sa, seg_id, pos)
 
     def test_int64_columns_past_2_to_the_31(self, graph, monkeypatch):
         assert suffixes._index_dtype(2**31 - 1) is np.int32
@@ -228,7 +236,7 @@ class TestSuffixTable:
         # a join that long is too large to build here, so force the wide type
         monkeypatch.setattr(suffixes, "_index_dtype", lambda n: np.int64)
         table = build_suffix_table(graph)
-        columns = (table.sa, table.seg_id, table.pos)
+        columns = (join_positions(graph, table), table.seg_id, table.pos)
         assert {column.dtype for column in columns} == {np.dtype(np.int64)}
         _, sa, lcp, seg_id, pos = map(list, zip(*SUFFIX_TABLE_ROWS))
         head = separator_runs(build_join(graph).text, sa, lcp)
@@ -239,8 +247,9 @@ class TestSuffixTable:
     def test_rows_point_at_join_characters(self, graph):
         join = build_join(graph)
         table = build_suffix_table(graph)
+        sa = join_positions(graph, table)
         for i in range(len(table)):
-            assert chr(join.text[table.sa[i]]) == join.content(table.seg_id[i])[table.pos[i]]
+            assert chr(join.text[sa[i]]) == join.content(table.seg_id[i])[table.pos[i]]
 
     @pytest.mark.parametrize("k", range(1, 10))
     def test_runs_match_the_full_suffix_array(self, k):
