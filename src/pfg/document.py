@@ -20,7 +20,7 @@ class GfaDocument:
     """A GFA file's records as columns.
 
     S-record ``r``, counted in file order, has the upper-cased sequence
-    ``join.content(r)``; ``ids[r]`` is its name read as a plain decimal
+    ``join.contents()[r]``; ``ids[r]`` is its name read as a plain decimal
     number, or -1 if the name is not one.  Path ``j`` is named
     ``path_names[j]`` and visits the S-records
     ``steps[path_offsets[j]:path_offsets[j + 1]]``; ``overlaps`` holds the

@@ -1,14 +1,15 @@
 """Streaming the pangenome suffix array from the suffix and segment tables.
 
 Before anything is yielded, the graph's prefix-freeness is checked
-(``validation.check_prefix_free``), and one vectorized pass over the
-suffix table, whose rows all emit, takes its blocks of equal segment
-suffixes from the table's block starts and checks the emission count.
-Emission then runs in batches of whole blocks: each batch expands its
+(``validation.check_prefix_free``), and one pass over the suffix table,
+whose rows all emit, gives each row its first emission and checks the
+emission count.  Emission then runs in batches of whole blocks of equal
+segment suffixes, cut at the table's block starts: each batch expands its
 rows' occurrences and orders them by (block, right-context rank), so the
 order of rows inside a block does not matter.
-Memory stays proportional to the two tables plus one batch; the pangenome
-text is never materialized.
+Besides the two tables, the stream holds each row's first emission
+(``row_begin``, 8 bytes per row), one byte per row that marks the block
+starts, and one batch; the pangenome text is never materialized.
 """
 
 from __future__ import annotations
@@ -58,35 +59,37 @@ def emission_batches(
     """Yield the emissions in order, in batches cut at block starts."""
     k = graph.k
     check_prefix_free(graph)
-    head = suffix_table.head
+    head, seg_id = suffix_table.head, suffix_table.seg_id
     counts = np.diff(segment_table.offsets)
-    row_counts = counts[suffix_table.seg_id]
     # first emission of each row, then the total; int64, as emission
-    # indices can pass 2**31
-    row_begin = np.zeros(len(suffix_table) + 1, dtype=np.int64)
-    np.cumsum(row_counts, out=row_begin[1:])
-    del row_counts
+    # indices can pass 2**31.  Its counts are gathered a batch of rows at a
+    # time and summed in place, so no other column per row is made.
+    row_begin = np.zeros(len(seg_id) + 1, dtype=np.int64)
+    for lo in range(0, len(seg_id), BATCH_EMISSIONS):
+        row_begin[lo + 1 : lo + 1 + BATCH_EMISSIONS] = counts[seg_id[lo : lo + BATCH_EMISSIONS]]
+    np.cumsum(row_begin, out=row_begin)
     total = int(row_begin[-1])
     expected = int(((segment_table.lengths - k) * counts).sum())
     if total != expected:
         raise StructureError(f"the tables give {total} emissions, expected {expected}")
-    # first row of every block, then the end
-    first_rows = np.flatnonzero(np.append(head, True))
+    # block starts, then the end
+    starts = np.append(head, True)
     text = np.frombuffer(graph.join.text, dtype=np.uint8)
     boundaries = graph.join.boundaries
     # every rank is below this, so block * rank_bound + rank orders by both
     rank_bound = int(segment_table.rank.max()) + 1 if len(segment_table.rank) else 1
-    b = 0
-    while b < len(first_rows) - 1:
-        r0 = first_rows[b]
+    r0 = 0
+    while r0 < len(seg_id):
         e0 = int(row_begin[r0])
         # the batch ends at the last block start at most BATCH_EMISSIONS
         # emissions on, or after one block when that block is wider
-        last_row = np.searchsorted(row_begin, e0 + BATCH_EMISSIONS, side="right") - 1
-        c = max(int(np.searchsorted(first_rows, last_row, side="right")) - 1, b + 1)
-        r1 = first_rows[c]
+        last_row = int(np.searchsorted(row_begin, e0 + BATCH_EMISSIONS, side="right")) - 1
+        fits = np.flatnonzero(starts[r0 + 1 : last_row + 1])
+        # with no block start in reach, the next one: argmax stops at the
+        # first True, and the end counts as a block start
+        r1 = r0 + 1 + int(fits[-1] if fits.size else np.argmax(starts[r0 + 1 :]))
         e1 = int(row_begin[r1])
-        seg_ids = suffix_table.seg_id[r0:r1]
+        seg_ids = seg_id[r0:r1]
         n_occ = counts[seg_ids]
         # occurrence index = its row's first occurrence + its place in the row
         shift = segment_table.offsets[seg_ids] - row_begin[r0:r1]
@@ -97,14 +100,14 @@ def emission_batches(
         order = np.argsort(key, kind="stable")
         row_of = np.repeat(np.arange(r0, r1), n_occ)[order]
         occ = occ[order]
-        seg = suffix_table.seg_id[row_of]
+        seg = seg_id[row_of]
         pos = suffix_table.pos[row_of]
         bwt = None
         if with_bwt:
             # the letter before a row's suffix in the join, where pos > 0
             bwt = np.where(pos > 0, text[boundaries[seg] + pos - 1], segment_table.prev[occ])
         yield Batch(e0, segment_table.start[occ] + pos, seg, pos, bwt)
-        b = c
+        r0 = r1
 
 
 def stream(

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import FormatError, StructureError
 from .graph import PAD, Pangenome, PrefixFreeGraph, SegmentJoin
-from .validation import _structural_report
+from .validation import _structural_errors
 
 if TYPE_CHECKING:
     from .document import GfaDocument
@@ -158,12 +158,13 @@ def graph_from_gfa(doc: GfaDocument) -> PrefixFreeGraph:
         raise FormatError(f"segment names must be the ids 0 to {n - 1} in plain decimal")
     join, steps = doc.join, doc.steps
     if not np.array_equal(order, np.arange(n)):
-        join = SegmentJoin.of([join.content(r) for r in order.tolist()])
+        contents = join.contents()
+        join = SegmentJoin.of([contents[r] for r in order.tolist()])
         steps = doc.ids[steps].astype(np.int32)
     graph = PrefixFreeGraph(k=k, join=join, steps=steps, path_offsets=doc.path_offsets, path_names=doc.path_names)
-    report = _structural_report(graph)
-    if not report.ok:
-        raise StructureError("GFA does not encode a valid prefix-free graph: " + "; ".join(report.errors))
+    errors = _structural_errors(graph)
+    if errors:
+        raise StructureError("GFA does not encode a valid prefix-free graph: " + "; ".join(errors))
     # the graph reads each path as its segments overlapping by k, so a path
     # that declares any other overlap would spell another sequence
     wrong = doc.overlaps != k

@@ -93,10 +93,6 @@ class SegmentJoin:
         text = SEPARATOR.join([*contents, SENTINEL]).encode("ascii")
         return cls(text=text, boundaries=np.cumsum(lengths + 1) - lengths - 1, lengths=lengths)
 
-    def content(self, i: int) -> str:
-        start = int(self.boundaries[i])
-        return self.text[start : start + int(self.lengths[i])].decode("ascii")
-
     def contents(self) -> list[str]:
         text, starts = self.text.decode("ascii"), self.boundaries.tolist()
         return [text[a : a + n] for a, n in zip(starts, self.lengths.tolist())]

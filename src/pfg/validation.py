@@ -17,18 +17,18 @@ from .graph import PAD, SEPARATOR, PrefixFreeGraph
 
 
 class ValidationReport:
-    def __init__(self, errors: list[str] | None = None):
-        self.errors = [] if errors is None else errors
+    def __init__(self, errors: list[str]):
+        self.errors = errors
 
     @property
     def ok(self) -> bool:
         return not self.errors
 
 
-def _structural_report(graph: PrefixFreeGraph) -> ValidationReport:
-    """Every check but prefix-freeness; the error messages are the return value."""
-    report = ValidationReport()
-    err = report.errors.append
+def _structural_errors(graph: PrefixFreeGraph) -> list[str]:
+    """The message of each failed check, every check but prefix-freeness."""
+    errors: list[str] = []
+    err = errors.append
     k = graph.k
     contents = graph.join.contents()
     n = len(contents)
@@ -99,7 +99,7 @@ def _structural_report(graph: PrefixFreeGraph) -> ValidationReport:
             err(f"path {j} step {t}: padded segment {path[t]} is not path-final")
         if not spells[j]:
             err(f"path {j} ({graph.path_names[j]!r}) spells an empty sequence")
-    return report
+    return errors
 
 
 def check_prefix_free(graph: PrefixFreeGraph) -> None:
@@ -138,7 +138,7 @@ def check_prefix_free(graph: PrefixFreeGraph) -> None:
 def validate(graph: PrefixFreeGraph) -> ValidationReport:
     """Check the structural invariants, and prefix-freeness, of which only
     the first violation is reported."""
-    report = _structural_report(graph)
+    report = ValidationReport(_structural_errors(graph))
     try:
         check_prefix_free(graph)
     except StructureError as exc:

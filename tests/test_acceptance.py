@@ -257,10 +257,13 @@ def test_criterion_8_space_contract(large_instance, large_graph):
 
 
 # Launched ``pfg2sa --bwt`` peaks at most this many bytes above the floor
-# per graph unit, one join symbol or one path step.  Measured on a 2-core
-# host (Python 3.11, numpy 2.4): 38.2 B on shared and 33.6 B on unrelated
-# 256 x 30 kb, over a 26.8 MiB floor; the bound leaves 15% headroom.
-BYTES_PER_GRAPH_UNIT = 44
+# per graph unit, one join symbol or one path step, on each shape.
+# Measured on a 2-core host (Python 3.11, numpy 2.4) over a 26.8 MiB floor:
+# 36.5-38.2 B on shared 256 x 30 kb.  On unrelated it reads 29.5 B or
+# 33.4 B: from one run to another, the suffix table's build peaks at one of
+# two levels 32 MiB apart.  The bounds leave 15% and 5% headroom over the
+# larger reading.
+BYTES_PER_GRAPH_UNIT = {"shared": 44, "unrelated": 35}
 
 
 def launched_peak(command, stdin) -> int:
@@ -304,7 +307,7 @@ def test_tool_peak_follows_the_graph(shape, large_graph, unrelated_graph, tmp_pa
     per_unit = (peak - floor) / units
     report(
         "8 (whole tool)",
-        per_unit <= BYTES_PER_GRAPH_UNIT,
+        per_unit <= BYTES_PER_GRAPH_UNIT[shape],
         f"pfg2sa --bwt on {shape} 256x30kb peaks {per_unit:.1f} B per graph unit "
         f"above the floor ({units} units)",
     )

@@ -341,10 +341,16 @@ class TestPfg2Sa:
         assert run(pfg2sa_main, argv, gfa) == (1, "", f"pfg2sa: {message}\n")
 
     @pytest.mark.parametrize("argv", [[], ["--bwt"]], ids=["plain", "bwt"])
-    def test_unused_segment(self, running_gfa, argv):
-        # without path s3, segment 4 (CGAC) has no occurrence
+    @pytest.mark.parametrize("size", [None, 1, 2, 3])
+    def test_unused_segment(self, running_gfa, argv, size, monkeypatch):
+        # without path s3, segment 4 (CGAC) has no occurrence: its rows emit
+        # nothing, so a batch's end is sought where row_begin is flat
         gfa = "".join(l for l in running_gfa.splitlines(True) if not l.startswith("P\ts3"))
+        default = run(pfg2sa_main, argv, gfa)
+        if size is not None:
+            monkeypatch.setattr(STREAM_MODULE, "BATCH_EMISSIONS", size)
         status, out, err = run(pfg2sa_main, argv, gfa)
+        assert (status, out, err) == default
         assert (status, err) == (0, "")
         assert len(out.splitlines()) == 14
         assert out == stream_lines(gfa, bwt=bool(argv))

@@ -19,7 +19,7 @@ from pfg import (
     validate,
 )
 from pfg.graph import invalid_letter, normalize, reconstruct
-from pfg.validation import _structural_report, check_prefix_free
+from pfg.validation import _structural_errors, check_prefix_free
 
 from conftest import make_graph, proper_prefixes, random_dictionary
 
@@ -175,7 +175,7 @@ class TestCheckPrefixFree:
 
 
 def errors(graph):
-    return _structural_report(graph).errors
+    return _structural_errors(graph)
 
 
 class TestStructuralReport:

@@ -4,13 +4,16 @@ import random
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from pfg import (
+    Pangenome,
     StructureError,
+    TriggerSet,
     build_graph,
     build_segment_table,
     build_suffix_table,
@@ -255,6 +258,25 @@ class TestRowOrderInsideRuns:
         table, segment_table = build_suffix_table(g), build_segment_table(g)
         expected = batch_bytes(g, table, segment_table)
         assert batch_bytes(g, shuffled_in_runs(table, rng), segment_table) == expected
+
+
+class TestSetUp:
+    def test_holds_one_column_per_row(self):
+        # unrelated sequences: the suffix table has about one row per input
+        # letter, and nearly every row emits once
+        rng = random.Random(3)
+        sequences = [(f"u{j}", "".join(rng.choices("ACGT", k=30_000))) for j in range(64)]
+        graph = build_graph(Pangenome(sequences=sequences), TriggerSet.from_words(["TAA", "TAG", "TGA"]))
+        suffix_table, segment_table = build_suffix_table(graph), build_segment_table(graph)
+        tracemalloc.start()
+        try:
+            next(emission_batches(graph, suffix_table, segment_table))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # row_begin is 8 bytes per row and the block starts 1; the rest is
+        # one batch and headroom
+        assert peak <= 11 * len(suffix_table)
 
 
 class TestBatches:
