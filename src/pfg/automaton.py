@@ -59,16 +59,16 @@ def read_triggers(stream) -> TriggerSet:
 
 
 class TriggerScanner:
-    """Finds where trigger words end in a sequence of input letters."""
+    """Finds where ``words``, all ``k`` ASCII characters long, end in a text."""
 
-    def __init__(self, triggers: TriggerSet):
-        self.k = triggers.k
-        self.words = frozenset(triggers.words)
-        self.exact = self.k <= _PACKED_LETTERS
+    def __init__(self, words: tuple[str, ...], k: int):
+        self.k = k
+        self.words = frozenset(words)
+        self.exact = k <= _PACKED_LETTERS
         self.base = np.uint64(256 if self.exact else _HASH_BASE)
         # the words back to back, hashed in one pass: word i is window i * k;
         # copied, so that the windows that straddle two words are freed
-        self.codes = self._hashes("".join(triggers.words).encode("ascii"))[:: self.k].copy()
+        self.codes = self._hashes("".join(words).encode("ascii"))[::k].copy()
 
     def _hashes(self, letters: bytes) -> np.ndarray:
         """Hash of every k-window of ``letters``, indexed by window start;
@@ -103,4 +103,4 @@ class TriggerScanner:
 
 
 def compile_triggers(triggers: TriggerSet) -> TriggerScanner:
-    return TriggerScanner(triggers)
+    return TriggerScanner(triggers.words, triggers.k)

@@ -109,14 +109,26 @@ class PrefixFreeGraph:
 
     Segment ``i`` is ``join.text[join.boundaries[i]:][:join.lengths[i]]``
     and path ``j`` is ``path_names[j]`` with the segment ids
-    ``steps[path_offsets[j]:path_offsets[j + 1]]``.  Every reader shares the
-    columns, so a graph must not be changed after it is made; its arrays
-    are read-only.
+    ``steps[path_offsets[j]:path_offsets[j + 1]]``.  Every step is a segment
+    id and every path has a step, so ``path_offsets`` rises strictly from 0
+    to ``len(steps)``; the constructor raises StructureError otherwise.
+    Every reader shares the columns, so a graph must not be changed after
+    it is made; its arrays are read-only.
     """
 
     def __init__(
         self, k: int, join: SegmentJoin, steps: np.ndarray, path_offsets: np.ndarray, path_names: list[str]
     ):
+        if not (len(path_offsets) and path_offsets[0] == 0 and path_offsets[-1] == len(steps)):
+            raise StructureError(f"path offsets must run from 0 to the step count {len(steps)}")
+        spans = np.diff(path_offsets)
+        if (spans <= 0).any():
+            raise StructureError(f"path {int(np.argmax(spans <= 0))} has no steps")
+        n = len(join.lengths)
+        if len(steps) and (steps.min() < 0 or steps.max() >= n):
+            t = int(np.argmax((steps < 0) | (steps >= n)))
+            j = int(np.searchsorted(path_offsets, t, side="right")) - 1
+            raise StructureError(f"path {j} step {t - path_offsets[j]} references unknown segment {steps[t]}")
         for array in (join.boundaries, join.lengths, steps, path_offsets):
             _read_only(array)
         self.k = k

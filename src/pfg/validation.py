@@ -11,7 +11,7 @@ from operator import ge
 
 import numpy as np
 
-from .automaton import TriggerSet, compile_triggers
+from .automaton import TriggerScanner
 from .errors import StructureError
 from .graph import PAD, SEPARATOR, PrefixFreeGraph
 
@@ -26,7 +26,8 @@ class ValidationReport:
 
 
 def _structural_errors(graph: PrefixFreeGraph) -> list[str]:
-    """The message of each failed check, every check but prefix-freeness."""
+    """The message of each failed check, every check but prefix-freeness;
+    the graph's constructor has refused unknown ids and empty paths."""
     errors: list[str] = []
     err = errors.append
     k = graph.k
@@ -37,8 +38,8 @@ def _structural_errors(graph: PrefixFreeGraph) -> list[str]:
     # Per segment: codes of its first and last k letters (equal codes, equal
     # letters), where its first pad is, and how many pads end it.
     code_of: dict[str, int] = {}
-    heads = [code_of.setdefault(content[:k], len(code_of)) for content in contents]
-    tails = [code_of.setdefault(content[-k:], len(code_of)) for content in contents]
+    heads = np.array([code_of.setdefault(content[:k], len(code_of)) for content in contents], dtype=np.int32)
+    tails = np.array([code_of.setdefault(content[-k:], len(code_of)) for content in contents], dtype=np.int32)
     dots = np.array([content.find(PAD) for content in contents], dtype=np.int64)
     # count the trailing pads: PAD * k would be as large as the TL tag
     end_pads = np.array([len(content) - len(content.rstrip(PAD)) for content in contents], dtype=np.int64)
@@ -56,47 +57,30 @@ def _structural_errors(graph: PrefixFreeGraph) -> list[str]:
             err(f"segments {i - 1} and {i} not in strict lexicographic order")
         if misplaced[i]:
             err(f"segment {i} has misplaced pad characters")
-    # row n stands for every unknown id
-    heads = np.array(heads + [-1], dtype=np.int32)
-    tails = np.array(tails + [-1], dtype=np.int32)
-    padded = np.append(padded, False)
-    end_padded = np.append(end_pads >= k, True)
 
+    steps = graph.steps
     begins, ends = graph.path_offsets[:-1], graph.path_offsets[1:]
-    used = ends > begins
-    known = (graph.steps >= 0) & (graph.steps < n)
-    at = np.where(known, graph.steps, n)
     # step i breaks the k-overlap with step i - 1 of its path
-    broken = np.zeros(len(at), dtype=bool)
-    np.not_equal(tails[at[:-1]], heads[at[1:]], out=broken[1:])
-    broken[begins[used]] = False
-    stray = padded[at]  # a padded step that is not its path's last
-    stray[ends[used] - 1] = False
+    broken = np.zeros(len(steps), dtype=bool)
+    np.not_equal(tails[steps[:-1]], heads[steps[1:]], out=broken[1:])
+    broken[begins] = False
+    stray = padded[steps]  # a padded step that is not its path's last
+    stray[ends - 1] = False
+    unpadded = end_pads[steps[ends - 1]] < k
     # a path spells each step's letters but the last k, which the next step
     # or the pads repeat, so only a step longer than k spells a letter
-    spells = np.zeros(len(used), dtype=bool)
-    spells[used] = np.logical_or.reduceat(np.append(lengths > k, False)[at], begins[used])
+    spells = np.logical_or.reduceat((lengths > k)[steps], begins)
     # the paths with a problem; only these are gone through step by step
-    flagged = ~spells  # an empty path spells nothing too
-    flagged[used] |= ~end_padded[at[ends[used] - 1]]
-    flagged[np.searchsorted(ends, np.flatnonzero(~known | broken | stray), side="right")] = True
+    flagged = unpadded | ~spells
+    flagged[np.searchsorted(ends, np.flatnonzero(broken | stray), side="right")] = True
     for j in np.flatnonzero(flagged).tolist():
         b, e = begins[j], ends[j]
-        if b == e:
-            err(f"path {j} ({graph.path_names[j]!r}) is empty")
-            continue
-        path = graph.steps[b:e]
-        unknown = np.flatnonzero(~known[b:e]).tolist()
-        for t in unknown:
-            err(f"path {j} step {t} references unknown segment {path[t]}")
-        if unknown:
-            continue
         for t in np.flatnonzero(broken[b:e]).tolist():
             err(f"path {j} step {t}: adjacent segments do not overlap by k")
-        if not end_padded[at[e - 1]]:
+        if unpadded[j]:
             err(f"path {j} does not end with {k} pad characters")
         for t in np.flatnonzero(stray[b:e]).tolist():
-            err(f"path {j} step {t}: padded segment {path[t]} is not path-final")
+            err(f"path {j} step {t}: padded segment {steps[b + t]} is not path-final")
         if not spells[j]:
             err(f"path {j} ({graph.path_names[j]!r}) spells an empty sequence")
     return errors
@@ -120,8 +104,7 @@ def check_prefix_free(graph: PrefixFreeGraph) -> None:
     for i in np.flatnonzero(lengths > k).tolist():
         end = int(starts[i] + lengths[i])
         owner.setdefault(text[end - k - 1 : end].decode("ascii"), i)
-    # the tails may end in pads, which TriggerSet.from_words rejects
-    ends = compile_triggers(TriggerSet(words=tuple(owner), k=k + 1)).match_ends(text.decode("ascii"))
+    ends = TriggerScanner(tuple(owner), k + 1).match_ends(text.decode("ascii"))
     # a segment's last window is followed by its separator
     inner = ends[np.frombuffer(text, dtype=np.uint8)[ends + 1] != ord(SEPARATOR)]
     if inner.size:

@@ -340,6 +340,26 @@ class TestPfg2Sa:
         message = "GFA does not encode a valid prefix-free graph: path 1 ('q') spells an empty sequence"
         assert run(pfg2sa_main, argv, gfa) == (1, "", f"pfg2sa: {message}\n")
 
+    @pytest.mark.parametrize(
+        "records, message",
+        [
+            ("S\t0\tA\nS\t1\tAC..\nP\tp\t1+\t*\n", "segment 0 shorter than k"),
+            ("S\t0\tCA..\nS\t1\tAC..\nP\tp\t0+\t*\n", "segments 0 and 1 not in strict lexicographic order"),
+            ("S\t0\tA.C..\nS\t1\tAC..\nP\tp\t1+\t*\n", "segment 0 has misplaced pad characters"),
+            # GTG ends with TG, but AC.. starts with AC
+            ("S\t0\tAC..\nS\t1\tGTG\nP\tp\t1+,0+\t2M\n", "path 0 step 1: adjacent segments do not overlap by k"),
+            ("S\t0\tACG\nP\tp\t0+\t*\n", "path 0 does not end with 2 pad characters"),
+            # AC.. ends with the two pads that the segment of only pads starts with
+            ("S\t0\t..\nS\t1\tAC..\nP\tp\t1+,0+\t2M\n", "path 0 step 0: padded segment 1 is not path-final"),
+            ("S\t0\t..\nP\tp\t0+\t*\n", "path 0 ('p') spells an empty sequence"),
+        ],
+        ids=["short", "unordered", "misplaced-pads", "broken-overlap", "unpadded-end", "stray-pad", "spells-nothing"],
+    )
+    def test_each_structural_message_is_one_line(self, records, message):
+        gfa = "H\tVN:Z:1.0\tTL:i:2\n" + records
+        expected = f"pfg2sa: GFA does not encode a valid prefix-free graph: {message}\n"
+        assert run(pfg2sa_main, [], gfa) == (1, "", expected)
+
     @pytest.mark.parametrize("argv", [[], ["--bwt"]], ids=["plain", "bwt"])
     @pytest.mark.parametrize("size", [None, 1, 2, 3])
     def test_unused_segment(self, running_gfa, argv, size, monkeypatch):

@@ -482,7 +482,7 @@ class TestSpellings:
             assert out.getvalue() == expected.getvalue()
 
     @pytest.mark.parametrize("seed", range(12))
-    def test_line_reader_agrees_with_column_reader(self, seed, monkeypatch):
+    def test_renamed_segments_read_as_their_decimal_ids(self, seed, monkeypatch):
         """A spelling with its segments renamed reads as the decimal-named
         one does, but that no name is an id."""
         rng = random.Random(4000 + seed)

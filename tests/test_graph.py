@@ -18,7 +18,7 @@ from pfg import (
     read_gfa,
     validate,
 )
-from pfg.graph import invalid_letter, normalize, reconstruct
+from pfg.graph import PrefixFreeGraph, SegmentJoin, invalid_letter, normalize, reconstruct
 from pfg.validation import _structural_errors, check_prefix_free
 
 from conftest import make_graph, proper_prefixes, random_dictionary
@@ -188,9 +188,6 @@ class TestStructuralReport:
     def test_path_messages_in_order(self, graph):
         paths = [
             ("good", [3, 1, 5, 2]),
-            ("empty", []),
-            # an unknown id hides every other problem of its path
-            ("unknown", [3, 6, 0, -1]),
             ("mismatch", [3, 1, 0, 2]),  # ACG then ACAC: "CG" != "AC"
             ("stray pad", [3, 1, 4, 2, 3]),  # ACT.. then CAC, and CAC ends it
             ("unpadded", [3, 0]),
@@ -199,24 +196,13 @@ class TestStructuralReport:
         ]
         bad = make_graph(2, graph.join.contents(), paths)
         assert errors(bad) == [
-            "path 1 ('empty') is empty",
-            "path 2 step 1 references unknown segment 6",
-            "path 2 step 3 references unknown segment -1",
-            "path 3 step 2: adjacent segments do not overlap by k",
-            "path 4 step 4: adjacent segments do not overlap by k",
-            "path 4 does not end with 2 pad characters",
-            "path 4 step 3: padded segment 2 is not path-final",
-            "path 5 does not end with 2 pad characters",
-            "path 6 step 1: adjacent segments do not overlap by k",
-            "path 6 step 0: padded segment 2 is not path-final",
-        ]
-
-    def test_unknown_ids_without_segments(self):
-        g = make_graph(2, [], [("p", [0, 1]), ("q", [])])
-        assert errors(g) == [
-            "path 0 step 0 references unknown segment 0",
-            "path 0 step 1 references unknown segment 1",
-            "path 1 ('q') is empty",
+            "path 1 step 2: adjacent segments do not overlap by k",
+            "path 2 step 4: adjacent segments do not overlap by k",
+            "path 2 does not end with 2 pad characters",
+            "path 2 step 3: padded segment 2 is not path-final",
+            "path 3 does not end with 2 pad characters",
+            "path 4 step 1: adjacent segments do not overlap by k",
+            "path 4 step 0: padded segment 2 is not path-final",
         ]
 
     def test_segment_messages_in_order(self):
@@ -251,6 +237,49 @@ class TestStructuralReport:
             "path 1 step 0: padded segment 1 is not path-final",
             "path 1 step 1: padded segment 1 is not path-final",
         ]
+
+
+class TestConstruction:
+    """A graph refuses, when it is made, a step that names no segment and
+    offsets that leave a path without steps or do not span the steps."""
+
+    @pytest.mark.parametrize(
+        "contents, paths, message",
+        [
+            ([], [("p", [0, 1])], "path 0 step 0 references unknown segment 0"),
+            (["AC.."], [("p", [0]), ("q", [])], "path 1 has no steps"),
+            (["AC", "AC.."], [("p", [0, 1]), ("q", [1, -1])], "path 1 step 1 references unknown segment -1"),
+            (["AC", "AC.."], [("p", [0, 2])], "path 0 step 1 references unknown segment 2"),
+            # write_gfa's link key 0 * 3 + 5 of this pair would read as (1, 2)
+            (["ACT..", "CAC", "GA.."], [("p", [0, 5])], "path 0 step 1 references unknown segment 5"),
+            (["ACT..", "CAC", "GA.."], [("p", [1, 0]), ("q", [])], "path 1 has no steps"),
+        ],
+        ids=["no-segments", "empty-path", "negative-id", "id-n", "id-past-n", "empty-after-a-path"],
+    )
+    def test_refuses_what_is_not_a_graph(self, contents, paths, message):
+        with pytest.raises(StructureError, match=f"^{re.escape(message)}$"):
+            make_graph(2, contents, paths)
+
+    @pytest.mark.parametrize(
+        "steps, offsets, message",
+        [
+            ([0, 0], [0, 1], "path offsets must run from 0 to the step count 2"),
+            ([0, 0], [0, 3], "path offsets must run from 0 to the step count 2"),
+            ([0, 0], [1, 2], "path offsets must run from 0 to the step count 2"),
+            ([0, 0], [], "path offsets must run from 0 to the step count 2"),
+            ([0, 0, 0], [0, 2, 1, 3], "path 1 has no steps"),
+        ],
+        ids=["short", "long", "late-start", "none", "decreasing"],
+    )
+    def test_offsets_must_span_the_steps(self, steps, offsets, message):
+        with pytest.raises(StructureError, match=f"^{re.escape(message)}$"):
+            PrefixFreeGraph(
+                k=2,
+                join=SegmentJoin.of(["AC.."]),
+                steps=np.array(steps, dtype=np.int32),
+                path_offsets=np.array(offsets, dtype=np.int64),
+                path_names=["p"] * max(len(offsets) - 1, 0),
+            )
 
 
 class TestReconstruct:
