@@ -15,25 +15,18 @@ import numpy as np
 
 from .errors import StructureError
 
-SENTINEL = "$"  # rank 0, terminates joins and marks sequence starts in the BWT
-SEPARATOR = "#"  # rank 1, delimits segments/paths inside joins
-PAD = "."  # rank 2, appended k times to the end of every sequence
-RESERVED = (SENTINEL, SEPARATOR, PAD)  # in rank order
-
-# Input characters must rank strictly above PAD.  Since SENTINEL (36) and
-# SEPARATOR (35) sort below PAD (46) in byte order, rejecting everything
-# <= PAD rejects all three reserved characters at once.  The alphabet ends
-# at the last printable ASCII character, so every input is one byte per
-# letter in the joins.
+# The reserved characters sort below every letter, in byte order:
+# SENTINEL < SEPARATOR < PAD < every input letter.  So a join's bytes are
+# their own sort keys, and rejecting every byte up to PAD rejects all three.
+# The alphabet ends at the last printable ASCII character, so every input
+# is one byte per letter in the joins.
+SENTINEL = "$"  # ends the segment join and marks sequence starts in the BWT
+SEPARATOR = "%"  # delimits segments inside the segment join
+PAD = "."  # appended k times to the end of every sequence
 _MIN_INPUT = ord(PAD)
 _MAX_INPUT = ord("~")
 _LETTERS = bytes(range(_MIN_INPUT + 1, _MAX_INPUT + 1))
 _INVALID_INPUT = f"[^{chr(_MIN_INPUT + 1)}-{chr(_MAX_INPUT)}]"
-
-
-def char_rank(c: str) -> int:
-    """Total order used for suffix sorting: $ < # < . < input bytes."""
-    return RESERVED.index(c) if c in RESERVED else len(RESERVED) + ord(c)
 
 
 def invalid_letter(data: str) -> str | None:

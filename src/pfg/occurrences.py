@@ -31,14 +31,10 @@ class SegmentTable:
 
 
 def build_path_join(graph: PrefixFreeGraph) -> np.ndarray:
-    """All ID-paths concatenated over the integer symbol alphabet, as int64
+    """All ID-paths concatenated over the integer symbol alphabet, as int32
     symbols: each path and a SEP, then END."""
-    ids, offsets = graph.steps, graph.path_offsets
-    symbols = np.full(len(ids) + len(offsets), SEP, dtype=np.int64)
-    # every earlier path adds one SEP before a step
-    symbols[np.arange(len(ids)) + np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))] = ids + _ID_BASE
-    symbols[-1] = END
-    return symbols
+    symbols = np.insert(graph.steps + _ID_BASE, graph.path_offsets[1:], SEP)
+    return np.append(symbols, symbols.dtype.type(END))
 
 
 def right_context_ranks(symbols: np.ndarray) -> np.ndarray:

@@ -7,9 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph import SENTINEL, SEPARATOR, PrefixFreeGraph, SegmentJoin, char_rank
-
-_RANK_LUT = np.array([char_rank(chr(b)) for b in range(256)], dtype=np.uint16)
+from .graph import SEPARATOR, PrefixFreeGraph, SegmentJoin
 
 
 class SuffixTable:
@@ -150,19 +148,12 @@ def _prefix_doubling(symbols, reach: np.ndarray | None = None) -> tuple[np.ndarr
     return sa, rank, head
 
 
-def _symbols(text: str | bytes) -> np.ndarray:
-    """``text`` as symbols under the reserved-character ranking."""
-    if isinstance(text, str):
-        text = text.encode("ascii")
-    return _RANK_LUT[np.frombuffer(text, dtype=np.uint8)]
+def suffix_array(text: bytes) -> np.ndarray:
+    """Suffix array of ``text``, its bytes compared as unsigned values."""
+    return _prefix_doubling(np.frombuffer(text, dtype=np.uint8))[0]
 
 
-def suffix_array(text: str | bytes) -> np.ndarray:
-    """Suffix array of ``text`` under the reserved-character ranking."""
-    return _prefix_doubling(_symbols(text))[0]
-
-
-def lcp_array(text: str | bytes, sa: np.ndarray) -> np.ndarray:
+def lcp_array(text: bytes, sa: np.ndarray) -> np.ndarray:
     """LCP of adjacent rows of ``sa``, the suffix array of ``text``; LCP[0] = -1.
 
     Kasai's scan: in text order, each suffix shares with the suffix in the
@@ -173,7 +164,7 @@ def lcp_array(text: str | bytes, sa: np.ndarray) -> np.ndarray:
     sa = np.asarray(sa)
     above = np.empty(len(sa), dtype=np.int64)  # the suffix in the row above, -1 for row 0
     above[sa] = np.append(-1, sa[:-1])
-    a = _symbols(text).tolist()
+    a = list(text)
     a, b = a + [-1], a + [-2]  # ends that match nothing
     plcp = [-1] * len(sa)
     h = 0
@@ -207,9 +198,10 @@ def annotate(join: SegmentJoin, sa: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 
 def _reach(text: bytes) -> np.ndarray:
-    """Symbols from each position of a join up to and including the next separator or sentinel."""
+    """Symbols from each position of a join up to and including the next
+    separator or sentinel, the only bytes of a join at or below SEPARATOR."""
     codes = np.frombuffer(text, dtype=np.uint8)
-    ends = np.flatnonzero((codes == ord(SEPARATOR)) | (codes == ord(SENTINEL))).astype(_index_dtype(len(codes)))
+    ends = np.flatnonzero(codes <= ord(SEPARATOR)).astype(_index_dtype(len(codes)))
     return np.repeat(ends, np.diff(ends, prepend=-1)) - np.arange(-1, len(codes) - 1, dtype=ends.dtype)
 
 
@@ -217,7 +209,7 @@ def build_suffix_table(graph: PrefixFreeGraph) -> SuffixTable:
     """The graph's suffix table: only the rows whose segment suffix is
     longer than k, as only those emit."""
     join = graph.join
-    sa, rank, head = _prefix_doubling(_symbols(join.text), _reach(join.text))
+    sa, rank, head = _prefix_doubling(np.frombuffer(join.text, dtype=np.uint8), _reach(join.text))
     del rank  # before the mask and annotate's columns
     # the reach counts the separator too; a block's suffixes end at one
     # separator, so the block is kept or dropped whole

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pfg import Pangenome, PrefixFreeGraph, TriggerSet, build_graph
-from pfg.graph import PAD, SegmentJoin
+from pfg.graph import PAD, SENTINEL, SEPARATOR, SegmentJoin
 
 RUNNING_SEQUENCES = [("s1", "CACGTACT"), ("s2", "CACACT"), ("s3", "CACGACT")]
 RUNNING_TRIGGERS = ["AC", "CG"]
@@ -57,9 +57,11 @@ SEGMENT_TABLE_ROWS = {
 def separator_runs(text, sa, lcp) -> list[bool]:
     """Run starts over a full suffix array of a join: a row starts a run
     unless its suffix shares the row above's suffix up to and including the
-    separator ('#' or '$') that ends it."""
+    separator (SEPARATOR or SENTINEL) that ends it."""
     text = text.decode("ascii") if isinstance(text, bytes) else text
-    reach = [min(i for i in (text.find("#", p), text.find("$", p)) if i >= 0) - p + 1 for p in range(len(text))]
+    reach = [
+        min(i for i in (text.find(SEPARATOR, p), text.find(SENTINEL, p)) if i >= 0) - p + 1 for p in range(len(text))
+    ]
     return [r == 0 or lcp[r] < reach[sa[r - 1]] for r in range(len(sa))]
 
 

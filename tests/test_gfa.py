@@ -230,7 +230,9 @@ class TestReadGfa:
             read_gfa(io.StringIO(gfa))
         assert str(exc.value) == f"line 4: {message}"
 
-    @pytest.mark.parametrize("sequence, letter", [("AC#G", "#"), ("AC$", "$"), ("A C", " "), ("AC\u00c9", "\u00c9")])
+    @pytest.mark.parametrize(
+        "sequence, letter", [("AC#G", "#"), ("AC%G", "%"), ("AC$", "$"), ("A C", " "), ("AC\u00c9", "\u00c9")]
+    )
     def test_reserved_letter_in_segment_rejected(self, sequence, letter):
         with pytest.raises(FormatError) as exc:
             read_gfa(io.StringIO(f"S\t0\tAC..\nS\t1\t{sequence}\n"))

@@ -18,7 +18,7 @@ from pfg import (
     read_gfa,
     validate,
 )
-from pfg.graph import PrefixFreeGraph, SegmentJoin, invalid_letter, normalize, reconstruct
+from pfg.graph import SEPARATOR, PrefixFreeGraph, SegmentJoin, invalid_letter, normalize, reconstruct
 from pfg.validation import _structural_errors, check_prefix_free
 
 from conftest import make_graph, proper_prefixes, random_dictionary
@@ -324,7 +324,7 @@ class TestInvalidLetter:
         assert invalid_letter("") is None
         assert invalid_letter("".join(map(chr, range(0x2F, 0x7F))) * 3) is None
 
-    @pytest.mark.parametrize("c", ["#", ".", " ", "\x7f", "\x85", "\xa0", "\u2028", "\uff21", "\U0001F600"])
+    @pytest.mark.parametrize("c", ["#", SEPARATOR, ".", " ", "\x7f", "\x85", "\xa0", "\u2028", "\uff21", "\U0001F600"])
     def test_errors_name_the_character(self, c):
         data = f"AC{c}GT"
         with pytest.raises(StructureError) as exc:

@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 
 from pfg import build_graph, build_suffix_table, suffixes
-from pfg.graph import char_rank
+from pfg.graph import _LETTERS, PAD, SENTINEL, SEPARATOR
 from pfg.suffixes import (
     _packed_keys,
     _prefix_doubling,
     _reach,
-    _symbols,
     annotate,
     build_join,
     lcp_array,
@@ -29,8 +28,7 @@ from conftest import (
 
 
 def naive_suffix_array(text):
-    mapped = [tuple(char_rank(c) for c in text[i:]) for i in range(len(text))]
-    return sorted(range(len(text)), key=lambda i: mapped[i])
+    return sorted(range(len(text)), key=lambda i: text[i:])
 
 
 def naive_int_suffix_array(symbols):
@@ -60,17 +58,17 @@ def naive_lcp(text, sa):
 class TestBuildJoin:
     def test_running_example(self, graph):
         join = build_join(graph)
-        assert join.text == b"ACAC#ACG#ACT..#CAC#CGAC#CGTAC#$"
+        assert join.text == b"ACAC%ACG%ACT..%CAC%CGAC%CGTAC%$"
         assert len(join.text) == 31
         assert join.boundaries.tolist() == [0, 5, 9, 15, 19, 24]
 
     def test_single_segment(self):
         g = make_graph(2, ["AB.."], [("p", [0])])
-        assert build_join(g).text == b"AB..#$"
+        assert build_join(g).text == b"AB..%$"
 
     def test_two_segments(self):
         g = make_graph(2, ["X..", "XY.."], [("p", [0])])
-        assert build_join(g).text == b"X..#XY..#$"
+        assert build_join(g).text == b"X..%XY..%$"
 
 
 class TestSuffixArray:
@@ -83,17 +81,16 @@ class TestSuffixArray:
         assert sa[30] == 26
 
     def test_two_char_text(self):
-        assert suffix_array("A$").tolist() == [1, 0]
+        assert suffix_array(b"A$").tolist() == [1, 0]
 
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_naive_oracle(self, seed):
         rng = random.Random(seed)
-        text = "".join(rng.choices("ACGT.#", k=200)) + "$"
+        text = bytes(rng.choices(b"ACGT.%", k=200)) + b"$"
         assert suffix_array(text).tolist() == naive_suffix_array(text)
 
-    def test_reserved_ranking_applies(self):
-        # '$' sorts below '#' although byte order says otherwise
-        assert suffix_array("#$").tolist() == [1, 0]
+    def test_reserved_characters_sort_below_every_letter_in_byte_order(self):
+        assert ord(SENTINEL) < ord(SEPARATOR) < ord(PAD) < min(_LETTERS)
 
 
 class TestLcpArray:
@@ -107,7 +104,7 @@ class TestLcpArray:
 
     def test_periodic_text_lifts_more_than_ten_rounds(self):
         # adjacent suffixes share more than 2**10 symbols
-        text = "ACG" * 370 + "$"
+        text = b"ACG" * 370 + b"$"
         sa = suffix_array(text)
         lcp = lcp_array(text, sa).tolist()
         assert max(lcp) > 2**10
@@ -116,7 +113,7 @@ class TestLcpArray:
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_pairwise_oracle(self, seed):
         rng = random.Random(100 + seed)
-        text = "".join(rng.choices("ACG", k=rng.randint(2, 300)))
+        text = bytes(rng.choices(b"ACG", k=rng.randint(2, 300)))
         sa = suffix_array(text)
         assert lcp_array(text, sa).tolist() == naive_lcp(text, sa.tolist())
 
@@ -128,14 +125,14 @@ class TestPackedFirstSort:
     @pytest.mark.parametrize("seed", range(10))
     def test_texts_without_sentinel(self, seed):
         rng = random.Random(200 + seed)
-        text = "".join(rng.choices(rng.choice(["A", "AC", "ACGT.#"]), k=rng.randint(1, 120)))
+        text = bytes(rng.choices(rng.choice([b"A", b"AC", b"ACGT.%"]), k=rng.randint(1, 120)))
         sa = suffix_array(text)
         assert sa.tolist() == naive_suffix_array(text)
         assert lcp_array(text, sa).tolist() == naive_lcp(text, sa.tolist())
 
     @pytest.mark.parametrize("length", [1, 2, 3, 7, 15, 16, 17])
     def test_texts_around_the_packing_width(self, length):
-        for text in ("A" * length, ("ACG" * length)[:length], ("CA" * length)[: length - 1] + "$"):
+        for text in (b"A" * length, (b"ACG" * length)[:length], (b"CA" * length)[: length - 1] + b"$"):
             sa = suffix_array(text)
             assert sa.tolist() == naive_suffix_array(text)
             assert lcp_array(text, sa).tolist() == naive_lcp(text, sa.tolist())
@@ -158,10 +155,10 @@ class TestPackedFirstSort:
     def test_adjacent_lcp_around_the_packing_width(self, extra):
         # a word and its copy, told apart by the letter after them, share
         # exactly width + extra letters
-        width = _packed_keys(_symbols("GTA#C$"))[2]
+        width = _packed_keys(np.frombuffer(b"GTA%C$", dtype=np.uint8))[2]
         rng = random.Random(extra)
-        word = "".join(rng.choices("GT", k=width + extra))
-        text = word + "A#" + word + "C$"
+        word = bytes(rng.choices(b"GT", k=width + extra))
+        text = word + b"A%" + word + b"C$"
         sa = suffix_array(text)
         lcp = lcp_array(text, sa).tolist()
         assert width == 16
@@ -271,4 +268,4 @@ class TestSuffixTable:
         assert_runs_match(make_graph(1, sorted(contents), [(f"p{i}", [i]) for i in range(len(contents))]))
 
     def test_reach_runs_to_each_separator(self):
-        assert _reach(b"AB..#C#$").tolist() == [5, 4, 3, 2, 1, 2, 1, 1]
+        assert _reach(b"AB..%C%$").tolist() == [5, 4, 3, 2, 1, 2, 1, 1]
