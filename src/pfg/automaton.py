@@ -25,50 +25,33 @@ _HASH_BASE = 0x9E3779B97F4A7C15
 
 
 class TriggerSet:
-    """A deduplicated set of trigger words sharing a common length k."""
+    """A deduplicated set of trigger words, all ``k`` ASCII characters long,
+    hashed once so that ``match_ends`` finds where they end in a text."""
 
     def __init__(self, words: tuple[str, ...], k: int):
         self.words = words
         self.k = k
+        self.exact = k <= _PACKED_LETTERS
+        self.base = np.uint64(256 if self.exact else _HASH_BASE)
+        self._members = frozenset(words)  # confirms a hashed hit
+        # the words back to back, hashed in one pass: word i is window i * k;
+        # copied, so that the windows that straddle two words are freed
+        self.codes = self._hashes("".join(words).encode("ascii"))[::k].copy()
 
     @classmethod
     def from_words(cls, words) -> "TriggerSet":
-        cleaned = sorted({w.strip().upper() for w in words if w.strip()})
+        stripped = [w.strip() for w in words]
+        for w in stripped:
+            # before upper-casing, which makes 'ß' the valid 'SS'
+            if invalid_letter(w) is not None:
+                raise ConfigError(f"trigger word {w!r} contains a reserved or invalid character")
+        cleaned = sorted({w.upper() for w in stripped if w})
         if not cleaned:
             raise ConfigError("trigger set is empty")
         lengths = {len(w) for w in cleaned}
         if len(lengths) != 1:
             raise ConfigError(f"trigger words have mixed lengths {sorted(lengths)}")
-        for w in cleaned:
-            if invalid_letter(w) is not None:
-                raise ConfigError(f"trigger word {w!r} contains a reserved or invalid character")
         return cls(words=tuple(cleaned), k=lengths.pop())
-
-
-def read_triggers(stream) -> TriggerSet:
-    """One trigger word per line; blank lines and #-comments are ignored."""
-    words = []
-    for line in stream:
-        word = line.strip()
-        if not word or word.startswith("#"):
-            continue
-        words.append(word)
-    if not words:
-        raise ConfigError("trigger file contains no words")
-    return TriggerSet.from_words(words)
-
-
-class TriggerScanner:
-    """Finds where ``words``, all ``k`` ASCII characters long, end in a text."""
-
-    def __init__(self, words: tuple[str, ...], k: int):
-        self.k = k
-        self.words = frozenset(words)
-        self.exact = k <= _PACKED_LETTERS
-        self.base = np.uint64(256 if self.exact else _HASH_BASE)
-        # the words back to back, hashed in one pass: word i is window i * k;
-        # copied, so that the windows that straddle two words are freed
-        self.codes = self._hashes("".join(words).encode("ascii"))[::k].copy()
 
     def _hashes(self, letters: bytes) -> np.ndarray:
         """Hash of every k-window of ``letters``, indexed by window start;
@@ -97,10 +80,25 @@ class TriggerScanner:
             ends = np.flatnonzero(hits)
             ends += lo + k - 1
             if not self.exact:
-                ends = ends[[seq[e - k + 1 : e + 1] in self.words for e in ends.tolist()]]
+                ends = ends[[seq[e - k + 1 : e + 1] in self._members for e in ends.tolist()]]
             found.append(ends)
         return np.concatenate(found) if found else np.zeros(0, dtype=np.intp)
 
 
-def compile_triggers(triggers: TriggerSet) -> TriggerScanner:
-    return TriggerScanner(triggers.words, triggers.k)
+def read_triggers(stream) -> TriggerSet:
+    """One trigger word per line; blank lines and #-comments are ignored."""
+    words = []
+    for line in stream:
+        word = line.strip()
+        if not word or word.startswith("#"):
+            continue
+        words.append(word)
+    if not words:
+        raise ConfigError("trigger file contains no words")
+    return TriggerSet.from_words(words)
+
+
+def compile_triggers(triggers: TriggerSet) -> TriggerSet:
+    # returns its argument; kept only because perfbench/tracing.py times this
+    # name and tests/test_bench_contract.py pins it (ROADMAP item 2)
+    return triggers

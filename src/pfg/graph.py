@@ -55,8 +55,13 @@ class Pangenome:
     """An ordered collection of named sequences analyzed jointly."""
 
     def __init__(self, sequences: list[tuple[str, str]]):
-        for _, data in sequences:
+        names = set()
+        for name, data in sequences:
             check_sequence(data)
+            # a GFA with a repeated path name could not be read back
+            if name in names:
+                raise StructureError(f"sequence name {name!r} is repeated")
+            names.add(name)
         self.sequences = sequences
 
     @property

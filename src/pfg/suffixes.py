@@ -22,9 +22,6 @@ class SuffixTable:
         self.pos = pos
         self.head = head  # bool, each block's first row
 
-    def __len__(self) -> int:
-        return len(self.seg_id)
-
 
 def build_join(graph: PrefixFreeGraph) -> SegmentJoin:
     """The graph's segment join, which the graph builds once."""

@@ -11,7 +11,7 @@ from operator import ge
 
 import numpy as np
 
-from .automaton import TriggerScanner
+from .automaton import TriggerSet
 from .errors import StructureError
 from .graph import PAD, SEPARATOR, PrefixFreeGraph
 
@@ -104,7 +104,7 @@ def check_prefix_free(graph: PrefixFreeGraph) -> None:
     for i in np.flatnonzero(lengths > k).tolist():
         end = int(starts[i] + lengths[i])
         owner.setdefault(text[end - k - 1 : end].decode("ascii"), i)
-    ends = TriggerScanner(tuple(owner), k + 1).match_ends(text.decode("ascii"))
+    ends = TriggerSet(tuple(owner), k + 1).match_ends(text.decode("ascii"))
     # a segment's last window is followed by its separator
     inner = ends[np.frombuffer(text, dtype=np.uint8)[ends + 1] != ord(SEPARATOR)]
     if inner.size:

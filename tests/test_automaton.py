@@ -6,7 +6,6 @@ import pytest
 
 from pfg import ConfigError, TriggerSet, read_triggers
 from pfg import automaton as scan_module
-from pfg.automaton import compile_triggers
 
 
 def naive_match_ends(text, words):
@@ -54,11 +53,11 @@ class TestReadTriggers:
 
 class TestAutomaton:
     def test_simple_matches(self):
-        a = compile_triggers(TriggerSet.from_words(["AC"]))
+        a = TriggerSet.from_words(["AC"])
         assert a.match_ends("ACAC").tolist() == [1, 3]
 
     def test_overlapping_matches(self):
-        a = compile_triggers(TriggerSet.from_words(["AA"]))
+        a = TriggerSet.from_words(["AA"])
         assert a.match_ends("AAA").tolist() == [1, 2]
 
     @pytest.mark.parametrize("seed", range(20))
@@ -67,7 +66,7 @@ class TestAutomaton:
         k = rng.choice([1, 2, 3, 4])
         words = {"".join(rng.choices("ACGT", k=k)) for _ in range(rng.randint(1, 5))}
         text = "".join(rng.choices("ACGT", k=rng.randint(0, 500)))
-        a = compile_triggers(TriggerSet.from_words(words))
+        a = TriggerSet.from_words(words)
         assert a.match_ends(text).tolist() == naive_match_ends(text, words)
 
     @pytest.mark.parametrize("chunk", ["k", "k+1", "default"])
@@ -84,7 +83,7 @@ class TestAutomaton:
                 starts = range(max(len(text) - k + 1, 0))
                 words = {text[i : i + k] for i in rng.sample(starts, min(3, len(starts)))}
                 words |= {"".join(rng.choices(alphabet, k=k)) for _ in range(2)}
-                a = compile_triggers(TriggerSet.from_words(words))
+                a = TriggerSet.from_words(words)
                 assert a.match_ends(text).tolist() == naive_match_ends(text, words)
 
     def test_thousands_of_long_words_agree_with_naive_scan(self):
@@ -94,24 +93,24 @@ class TestAutomaton:
         text = "".join(rng.choices("ACGT", k=20_000))
         words = {text[i : i + 10] for i in rng.sample(range(len(text) - 9), 500)}
         words |= {"".join(rng.choices("ACGT", k=10)) for _ in range(3000)}
-        a = compile_triggers(TriggerSet.from_words(words))
+        a = TriggerSet.from_words(words)
         assert a.codes.tolist() == [int(a._hashes(w.encode("ascii"))[0]) for w in sorted(words)]
         assert a.match_ends(text).tolist() == naive_match_ends(text, words)
 
     def test_overlapping_long_matches(self, monkeypatch):
         monkeypatch.setattr(scan_module, "SCAN_CHUNK", 10)
-        a = compile_triggers(TriggerSet.from_words(["A" * 9]))
+        a = TriggerSet.from_words(["A" * 9])
         assert a.match_ends("A" * 12).tolist() == [8, 9, 10, 11]
 
     def test_long_trigger_hits_are_confirmed(self, monkeypatch):
         # base 256 keeps only a window's last 8 letters in its hash, so every
         # window below collides with the trigger and must be rejected
         monkeypatch.setattr(scan_module, "_HASH_BASE", 256)
-        a = compile_triggers(TriggerSet.from_words(["G" + "A" * 8]))
+        a = TriggerSet.from_words(["G" + "A" * 8])
         assert a.match_ends("C" + "A" * 8 + "G" + "A" * 8).tolist() == [17]
 
     def test_trigger_free_scan_memory_is_bounded(self):
-        a = compile_triggers(TriggerSet.from_words(["TAG"]))
+        a = TriggerSet.from_words(["TAG"])
         seq = "ACG" * 1_333_334  # 4 Mb with no trigger
         tracemalloc.start()
         try:

@@ -128,7 +128,7 @@ class TestValidate:
         used, table = peak(build_suffix_table, "ACG" * 333334)
         # every position but the last k of the segment, its separator and
         # the sentinel
-        assert len(table) == 1_000_002
+        assert len(table.seg_id) == 1_000_002
         assert used < 96 << 20
 
 
@@ -305,6 +305,11 @@ class TestPangenome:
     def test_total_length(self, pangenome):
         assert pangenome.total_length == 21
 
+    def test_repeated_name_rejected(self):
+        with pytest.raises(StructureError) as exc:
+            Pangenome(sequences=[("a", "ACGTAC"), ("a", "ACGGAC")])
+        assert str(exc.value) == "sequence name 'a' is repeated"
+
 
 class TestInvalidLetter:
     @pytest.mark.parametrize("place", ["start", "middle", "end", "before-a-nul"])
@@ -324,7 +329,7 @@ class TestInvalidLetter:
         assert invalid_letter("") is None
         assert invalid_letter("".join(map(chr, range(0x2F, 0x7F))) * 3) is None
 
-    @pytest.mark.parametrize("c", ["#", SEPARATOR, ".", " ", "\x7f", "\x85", "\xa0", "\u2028", "\uff21", "\U0001F600"])
+    @pytest.mark.parametrize("c", ["#", SEPARATOR, ".", " ", "\x7f", "\x85", "\xa0", "\u2028", "\uff21", "\U0001F600", "ß", "ﬁ"])
     def test_errors_name_the_character(self, c):
         data = f"AC{c}GT"
         with pytest.raises(StructureError) as exc:

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -37,6 +38,20 @@ class TestOracleSa:
 
         strings = [expanded(s) for s in sa]
         assert all(a < b for a, b in zip(strings, strings[1:]))
+
+    def test_memory_is_linear_in_the_text(self):
+        # 48 kB, under MAX_ORACLE_BYTES: one string per suffix would hold
+        # about n**2 / 2 bytes, over a gigabyte
+        rng = random.Random(5)
+        p = Pangenome(sequences=[(f"r{i}", "".join(rng.choices("ACGT", k=12_000))) for i in range(4)])
+        tracemalloc.start()
+        try:
+            sa = oracle_sa(p, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sorted(sa) == list(range(48_000))
+        assert peak < 32 * 2**20
 
     def test_size_guard(self):
         rng = random.Random(0)

@@ -1,43 +1,35 @@
 import random
 
-import pytest
-
 from pfg import (
     Pangenome,
     TriggerSet,
     build_graph,
     validate,
 )
-from pfg.automaton import compile_triggers
 from pfg.graph import reconstruct
 from pfg.partition import partition_sequence
 
 
-@pytest.fixture
-def automaton(triggers):
-    return compile_triggers(triggers)
-
-
 class TestPartitionSequence:
-    def test_running_example_first(self, automaton):
-        assert partition_sequence("CACGTACT", automaton, 2) == [
+    def test_running_example_first(self, triggers):
+        assert partition_sequence("CACGTACT", triggers) == [
             "CAC", "ACG", "CGTAC", "ACT..",
         ]
 
-    def test_running_example_second(self, automaton):
-        assert partition_sequence("CACACT", automaton, 2) == ["CAC", "ACAC", "ACT.."]
+    def test_running_example_second(self, triggers):
+        assert partition_sequence("CACACT", triggers) == ["CAC", "ACAC", "ACT.."]
 
-    def test_no_trigger_single_segment(self, automaton):
-        assert partition_sequence("GGGG", automaton, 2) == ["GGGG.."]
+    def test_no_trigger_single_segment(self, triggers):
+        assert partition_sequence("GGGG", triggers) == ["GGGG.."]
 
     def test_leading_trigger_closes_no_segment(self):
-        automaton = compile_triggers(TriggerSet.from_words(["TAG"]))
-        assert partition_sequence("TAGACGTACC", automaton, 3) == ["TAGACGTACC..."]
-        assert partition_sequence("TAGTAGA", automaton, 3) == ["TAGTAG", "TAGA..."]
+        triggers = TriggerSet.from_words(["TAG"])
+        assert partition_sequence("TAGACGTACC", triggers) == ["TAGACGTACC..."]
+        assert partition_sequence("TAGTAGA", triggers) == ["TAGTAG", "TAGA..."]
 
-    def test_segment_cover(self, automaton):
+    def test_segment_cover(self, triggers):
         for seq in ["CACGTACT", "CACACT", "ACGT", "AC"]:
-            segments = partition_sequence(seq, automaton, 2)
+            segments = partition_sequence(seq, triggers)
             assert sum(len(s) - 2 for s in segments) == len(seq)
 
 
@@ -74,12 +66,11 @@ class TestRepetitionLocality:
         seq_a = left + shared + right
         seq_b = shared + left
         triggers = TriggerSet.from_words(["AC", "CG"])
-        automaton = compile_triggers(triggers)
 
         def interior_segments(seq, lo, hi):
             spans = []
             boundary = 0
-            for seg in partition_sequence(seq, automaton, 2):
+            for seg in partition_sequence(seq, triggers):
                 spans.append((boundary, seg))
                 boundary += len(seg) - 2
             return [s for b, s in spans if b > lo and b + len(s) <= hi]

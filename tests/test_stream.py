@@ -216,7 +216,7 @@ class TestProperties:
 
 def shuffled_in_runs(table: SuffixTable, rng: random.Random) -> SuffixTable:
     """``table`` with the rows of every run of equal suffixes shuffled."""
-    cuts = np.flatnonzero(table.head).tolist() + [len(table)]
+    cuts = np.flatnonzero(table.head).tolist() + [len(table.seg_id)]
     order = []
     for a, b in zip(cuts, cuts[1:]):
         run = list(range(a, b))
@@ -276,7 +276,7 @@ class TestSetUp:
             tracemalloc.stop()
         # row_begin is 8 bytes per row and the block starts 1; the rest is
         # one batch and headroom
-        assert peak <= 11 * len(suffix_table)
+        assert peak <= 11 * len(suffix_table.seg_id)
 
 
 class TestBatches:

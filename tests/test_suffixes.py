@@ -223,7 +223,7 @@ class TestSuffixTable:
         _, sa, lcp, seg_id, pos = map(list, zip(*SUFFIX_TABLE_ROWS))
         head = separator_runs(build_join(graph).text, sa, lcp)
         head, sa, seg_id, pos = emitting(graph, head, sa, seg_id, pos)
-        assert len(table) == 12
+        assert len(table.seg_id) == 12
         assert table.head.tolist() == head
         assert runs(table.head, join_positions(graph, table), table.seg_id, table.pos) == runs(head, sa, seg_id, pos)
 
@@ -246,7 +246,7 @@ class TestSuffixTable:
         table = build_suffix_table(graph)
         sa = join_positions(graph, table)
         contents = join.contents()
-        for i in range(len(table)):
+        for i in range(len(table.seg_id)):
             assert chr(join.text[sa[i]]) == contents[table.seg_id[i]][table.pos[i]]
 
     @pytest.mark.parametrize("k", range(1, 10))
