@@ -22,9 +22,8 @@ import numpy as np
 # them.  A module that only some tools run is imported inside the code
 # that runs it, so the other tools never load it.
 from .automaton import read_triggers
-from .errors import PfgError, StructureError
+from .errors import FormatError, PfgError, StructureError
 from .gfa import expand_gfa_paths, graph_from_gfa, read_gfa, write_gfa
-from .graph import Pangenome, reconstruct
 from .occurrences import build_segment_table
 from .suffixes import build_suffix_table
 from .validation import validate
@@ -117,7 +116,11 @@ def _fasta2pfg(args, stdin, stdout, stderr):
 
 
 def _gfa2pfg(args, stdin, stdout, stderr):
-    pangenome = expand_gfa_paths(_read(args.input, stdin, read_gfa))
+    doc = _read(args.input, stdin, read_gfa)
+    if not doc.path_names:
+        raise FormatError("no P-records found")
+    pangenome = expand_gfa_paths(doc)
+    del doc  # the partitioning needs only the sequences
     return _run_builder(pangenome, args, stdout)
 
 
@@ -175,10 +178,8 @@ def _format_batch(batch: Batch) -> str:
 def _pfg2sa(args, stdin, stdout, stderr):
     from .emission import emission_batches
 
-    graph = graph_from_gfa(_read(args.input, stdin, read_gfa))
-    suffix_table = build_suffix_table(graph)
-    segment_table = build_segment_table(graph)
-    batches = emission_batches(graph, suffix_table, segment_table, with_bwt=args.bwt or args.verify)
+    doc = _read(args.input, stdin, read_gfa)
+    graph = graph_from_gfa(doc)
     if args.verify:
         from .oracle import MAX_ORACLE_BYTES, oracle_bwt, oracle_sa
 
@@ -187,14 +188,20 @@ def _pfg2sa(args, stdin, stdout, stderr):
         if int((graph.join.lengths[graph.steps] - graph.k).sum()) > MAX_ORACLE_BYTES:
             print("pfg2sa: --verify is limited to small inputs", file=stderr)
             return 1
-        pangenome = Pangenome(sequences=[(name, reconstruct(graph, j)) for j, name in enumerate(graph.path_names)])
+        # the oracle reads the sequences the file's paths spell, not the graph
+        pangenome = expand_gfa_paths(doc)
         expected_sa = oracle_sa(pangenome, graph.k)
-        expected_bwt = oracle_bwt(pangenome, expected_sa)
+        expected_bwt = "".join(oracle_bwt(pangenome, expected_sa))
+    del doc  # the tables need only the graph
+    suffix_table = build_suffix_table(graph)
+    segment_table = build_segment_table(graph)
+    batches = emission_batches(graph, suffix_table, segment_table, with_bwt=args.bwt or args.verify)
+    if args.verify:
         # the batches that are checked are the batches that are written
         batches = list(batches)
         got_sa = [sa for batch in batches for sa in batch.sa.tolist()]
         got_bwt = b"".join(batch.bwt.tobytes() for batch in batches).decode("ascii")
-        if got_sa != expected_sa or got_bwt != "".join(expected_bwt):
+        if got_sa != expected_sa or got_bwt != expected_bwt:
             print("pfg2sa: stream disagrees with the oracle", file=stderr)
             return 1
     for batch in batches:

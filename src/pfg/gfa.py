@@ -77,11 +77,10 @@ def read_gfa(stream) -> GfaDocument:
 def expand_gfa_paths(doc: GfaDocument) -> Pangenome:
     """Expand each path by overlap-eliding concatenation; strip trailing pads.
 
-    There must be a path.  Declared overlaps must agree with the actual
-    segment sequences, and none may be longer than a segment it joins.
+    Declared overlaps must agree with the actual segment sequences, and
+    none may be longer than a segment it joins.  Pads may end a path's
+    spelling but not come before a letter.
     """
-    if not doc.path_names:
-        raise FormatError("no P-records found")
     text, starts, lengths = doc.join.text, doc.join.boundaries, doc.join.lengths
     steps, offsets, overlaps = doc.steps, doc.path_offsets, doc.overlaps
     first_bad = _first_bad_join(doc)
@@ -96,11 +95,15 @@ def expand_gfa_paths(doc: GfaDocument) -> Pangenome:
                 raise FormatError(f"path {name!r} step {t}: declared overlap {ov} is longer than a segment it joins")
             raise FormatError(f"path {name!r} step {t}: declared overlap {ov} does not match the segment sequences")
         ids = steps[a:b]
-        begins = (starts[ids] + overlaps[a:b]).tolist()
-        ends = (starts[ids] + lengths[ids]).tolist()
-        expanded = b"".join([text[s:e] for s, e in zip(begins, ends)]).rstrip(PAD.encode())
+        begins = starts[ids] + overlaps[a:b]
+        ends = starts[ids] + lengths[ids]
+        expanded = b"".join([text[s:e] for s, e in zip(begins.tolist(), ends.tolist())]).rstrip(PAD.encode())
         if not expanded:
             raise FormatError(f"path {name!r} expands to an empty sequence")
+        pad = expanded.find(PAD.encode())
+        if pad >= 0:
+            t = int(np.searchsorted(np.cumsum(ends - begins), pad, side="right"))
+            raise FormatError(f"path {name!r} step {t}: pad {PAD!r} before the end of the path")
         sequences.append((name, expanded.decode("ascii")))
     return Pangenome(sequences=sequences)
 

@@ -1,4 +1,4 @@
-"""Prefix-free graph data model: normalization and reconstruction.
+"""Prefix-free graph data model: the input pangenome, the graph and its normalization.
 
 A prefix-free graph stores a sequence collection as a dictionary of
 segments (lexicographically ordered, ID = rank) plus one ID-path per
@@ -42,27 +42,34 @@ def invalid_letter(data: str) -> str | None:
     return match.group() if match else None
 
 
-def check_sequence(data: str) -> None:
-    """Reject empty sequences and sequences with reserved or invalid characters."""
-    if not data:
-        raise StructureError("empty sequence")
-    bad = invalid_letter(data)
-    if bad is not None:
-        raise StructureError(f"reserved or invalid character {bad!r} in sequence")
-
-
 class Pangenome:
-    """An ordered collection of named sequences analyzed jointly."""
+    """An ordered collection of named sequences analyzed jointly.
+
+    It holds only what a GFA can hold: letters are upper-cased, as both
+    readers do, and a name may hold no tab or line end.  A record that is
+    already upper-case is stored as given.
+    """
 
     def __init__(self, sequences: list[tuple[str, str]]):
         names = set()
-        for name, data in sequences:
-            check_sequence(data)
-            # a GFA with a repeated path name could not be read back
+        stored = []
+        for record in sequences:
+            name, data = record
+            if not data:
+                raise StructureError("empty sequence")
+            bad = invalid_letter(data)
+            if bad is not None:
+                raise StructureError(f"reserved or invalid character {bad!r} in sequence")
+            # a GFA could not read back a path name with a tab or a line
+            # end, or one that is repeated
+            if "\t" in name or "\n" in name:
+                raise StructureError(f"sequence name {name!r} holds a tab or a line end")
             if name in names:
                 raise StructureError(f"sequence name {name!r} is repeated")
             names.add(name)
-        self.sequences = sequences
+            upper = data.upper()
+            stored.append(record if upper == data else (name, upper))
+        self.sequences = stored
 
     @property
     def total_length(self) -> int:
@@ -166,12 +173,3 @@ def normalize(contents, steps, path_offsets, k, names) -> PrefixFreeGraph:
         path_names=names,
     )
 
-
-def reconstruct(graph: PrefixFreeGraph, path_index: int) -> str:
-    """Expand a path back into its original sequence."""
-    join, k = graph.join, graph.k
-    a, b = graph.path_offsets[path_index : path_index + 2]
-    ids = graph.steps[a:b]
-    starts = join.boundaries[ids].tolist()
-    ends = (join.boundaries[ids] + join.lengths[ids] - k).tolist()
-    return b"".join([join.text[s:e] for s, e in zip(starts, ends)]).decode("ascii")

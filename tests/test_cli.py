@@ -268,11 +268,11 @@ class TestPfg2Sa:
 
     def test_verify_refuses_a_large_input_before_spelling_it(self, running_gfa, monkeypatch):
         # the running example's 21 letters pass a limit of 21 but not of 20
-        def unspelled(graph, j):
+        def unspelled(doc):
             raise AssertionError("path spelled before the size check")
 
         monkeypatch.setattr(ORACLE_MODULE, "MAX_ORACLE_BYTES", 20)
-        monkeypatch.setattr(CLI_MODULE, "reconstruct", unspelled)
+        monkeypatch.setattr(CLI_MODULE, "expand_gfa_paths", unspelled)
         assert run(pfg2sa_main, ["--verify"], running_gfa) == (1, "", "pfg2sa: --verify is limited to small inputs\n")
         monkeypatch.setattr(ORACLE_MODULE, "MAX_ORACLE_BYTES", 21)
         with pytest.raises(AssertionError, match="spelled"):
@@ -292,6 +292,29 @@ class TestPfg2Sa:
         status, out, err = run(pfg2sa_main, ["--verify", *argv], running_gfa)
         assert (status, err) == (0, "")
         assert out == run(pfg2sa_main, argv, running_gfa)[1]
+
+    def test_verify_checks_the_graph_against_the_file(self, running_gfa, monkeypatch):
+        # a graph with paths s2 and s3 swapped spells the file's sequences in
+        # another order, so its stream is not the file's
+        def swapped(doc):
+            graph = graph_from_gfa(doc)
+            paths = graph.paths
+            paths[1], paths[2] = paths[2], paths[1]
+            return make_graph(graph.k, graph.join.contents(), paths)
+
+        monkeypatch.setattr(CLI_MODULE, "graph_from_gfa", swapped)
+        assert run(pfg2sa_main, ["--verify"], running_gfa) == (1, "", "pfg2sa: stream disagrees with the oracle\n")
+
+    @pytest.mark.parametrize(
+        "sequences", [[("a", "cacgt"), ("b", "CACGT")], [("a", "acACac")]], ids=["two-cases", "mixed-case"]
+    )
+    def test_verify_passes_on_lower_case_library_input(self, sequences):
+        # the reader upper-cases the letters, so the graph must be built from them upper-cased
+        gfa = io.StringIO()
+        write_gfa(build_graph(Pangenome(sequences), TriggerSet.from_words(["AC", "CG"])), gfa)
+        status, out, err = run(pfg2sa_main, ["--verify"], gfa.getvalue())
+        assert (status, err) == (0, "")
+        assert len(out.splitlines()) == sum(len(data) for _, data in sequences)
 
     def test_verify_checks_the_batches_it_writes(self, running_gfa, monkeypatch):
         def reversed_sa(*args, **kwargs):
@@ -332,6 +355,11 @@ class TestPfg2Sa:
     def test_no_paths_prints_nothing(self, running_gfa, argv):
         gfa = "".join(l for l in running_gfa.splitlines(True) if not l.startswith("P"))
         assert run(pfg2sa_main, argv, gfa) == (0, "", "")
+
+    @pytest.mark.parametrize("argv", [[], ["--verify"]], ids=["plain", "verify"])
+    def test_segments_without_paths_print_nothing(self, argv):
+        # no P-record is gfa2pfg's error only: pfg2sa streams an empty pangenome
+        assert run(pfg2sa_main, argv, "H\tTL:i:2\nS\t0\tAC..\n") == (0, "", "")
 
     @pytest.mark.parametrize("argv", [[], ["--bwt"], ["--verify"]], ids=["plain", "bwt", "verify"])
     def test_path_that_spells_no_letter_fails(self, argv):
@@ -421,7 +449,7 @@ class TestPfg2Sa:
 class TestRecordOrder:
     """GFA fixes no record order; segment names must be unique."""
 
-    @pytest.mark.parametrize("argv", [[], ["--bwt"]], ids=["plain", "bwt"])
+    @pytest.mark.parametrize("argv", [[], ["--bwt"], ["--verify"]], ids=["plain", "bwt", "verify"])
     def test_paths_before_segments(self, running_gfa, argv):
         lines = running_gfa.splitlines(True)
         reordered = "".join([l for l in lines if l[0] == "P"] + [l for l in lines if l[0] != "P"][::-1])

@@ -340,6 +340,25 @@ class TestExpandPaths:
             "CACGTACT", "CACACT", "CACGACT",
         ]
 
+    def test_single_segment(self):
+        g = make_graph(2, ["XY.."], [("p", [0])])
+        assert expand_gfa_paths(roundtrip(g)).sequences == [("p", "XY")]
+
+    @pytest.mark.parametrize(
+        "records, step",
+        [
+            ("S\ta\tAC..\nS\tb\tCG\nP\tp\ta+,b+\t*\n", 0),
+            ("S\ta\tAC\nS\tb\tCG.A\nP\tp\ta+,b+\t*\n", 1),
+            # b lies wholly in the overlap, so it adds no letter
+            ("S\ta\tACG\nS\tb\tCG\nS\tc\tG.T\nP\tp\ta+,b+,c+\t2M,1M\n", 2),
+        ],
+        ids=["first-step", "inside-the-last-segment", "after-an-empty-step"],
+    )
+    def test_pad_before_the_end_names_the_step(self, records, step):
+        with pytest.raises(FormatError) as exc:
+            expand_gfa_paths(read_gfa(io.StringIO(records)))
+        assert str(exc.value) == f"path 'p' step {step}: pad '.' before the end of the path"
+
     def test_zero_overlap_concatenation(self):
         doc = read_gfa(io.StringIO("S\ta\tAC\nS\tb\tGT\nP\tp\ta+,b+\t*\n"))
         pangenome = expand_gfa_paths(doc)

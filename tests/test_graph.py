@@ -18,7 +18,7 @@ from pfg import (
     read_gfa,
     validate,
 )
-from pfg.graph import SEPARATOR, PrefixFreeGraph, SegmentJoin, invalid_letter, normalize, reconstruct
+from pfg.graph import SEPARATOR, PrefixFreeGraph, SegmentJoin, invalid_letter, normalize
 from pfg.validation import _structural_errors, check_prefix_free
 
 from conftest import make_graph, proper_prefixes, random_dictionary
@@ -282,17 +282,6 @@ class TestConstruction:
             )
 
 
-class TestReconstruct:
-    def test_running_example(self, graph):
-        assert reconstruct(graph, 0) == "CACGTACT"
-        assert reconstruct(graph, 1) == "CACACT"
-        assert reconstruct(graph, 2) == "CACGACT"
-
-    def test_single_segment(self):
-        g = make_graph(2, ["XY.."], [("p", [0])])
-        assert reconstruct(g, 0) == "XY"
-
-
 class TestPangenome:
     def test_empty_sequence_rejected(self):
         with pytest.raises(StructureError):
@@ -309,6 +298,19 @@ class TestPangenome:
         with pytest.raises(StructureError) as exc:
             Pangenome(sequences=[("a", "ACGTAC"), ("a", "ACGGAC")])
         assert str(exc.value) == "sequence name 'a' is repeated"
+
+    def test_letters_are_upper_cased(self):
+        upper = ("b", "CACGT")
+        p = Pangenome(sequences=[("a", "cacgt"), upper, ("c", "acACac")])
+        assert p.sequences == [("a", "CACGT"), ("b", "CACGT"), ("c", "ACACAC")]
+        # a record that is already upper-case is stored as given
+        assert p.sequences[1] is upper
+
+    @pytest.mark.parametrize("name", ["a\tb", "a\nb", "\t", "a\n"])
+    def test_name_with_a_tab_or_line_end_rejected(self, name):
+        with pytest.raises(StructureError) as exc:
+            Pangenome(sequences=[(name, "ACGT")])
+        assert str(exc.value) == f"sequence name {name!r} holds a tab or a line end"
 
 
 class TestInvalidLetter:
