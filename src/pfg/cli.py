@@ -24,7 +24,7 @@ import numpy as np
 from .automaton import read_triggers
 from .errors import FormatError, PfgError, StructureError
 from .gfa import expand_gfa_paths, graph_from_gfa, read_gfa, write_gfa
-from .occurrences import build_segment_table
+from .occurrences import build_segment_table, pangenome_length
 from .suffixes import build_suffix_table
 from .validation import validate
 
@@ -183,9 +183,7 @@ def _pfg2sa(args, stdin, stdout, stderr):
     if args.verify:
         from .oracle import MAX_ORACLE_BYTES, oracle_bwt, oracle_sa
 
-        # the pangenome's length, from the columns: each step adds its
-        # segment but the k letters it shares with the next step or pads
-        if int((graph.join.lengths[graph.steps] - graph.k).sum()) > MAX_ORACLE_BYTES:
+        if pangenome_length(graph) > MAX_ORACLE_BYTES:
             print("pfg2sa: --verify is limited to small inputs", file=stderr)
             return 1
         # the oracle reads the sequences the file's paths spell, not the graph

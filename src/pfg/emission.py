@@ -2,11 +2,12 @@
 
 Before anything is yielded, the graph's prefix-freeness is checked
 (``validation.check_prefix_free``), and one pass over the suffix table,
-whose rows all emit, gives each row its first emission and checks the
-emission count.  Emission then runs in batches of whole blocks of equal
-segment suffixes, cut at the table's block starts: each batch expands its
-rows' occurrences and orders them by (block, right-context rank), so the
-order of rows inside a block does not matter.
+whose rows all emit, gives each row its first emission and checks that the
+tables account for every position of the given graph's pangenome.
+Emission then runs in batches of whole blocks of equal segment suffixes,
+cut at the table's block starts: each batch expands its rows' occurrences
+and orders them by (block, right-context rank), so the order of rows
+inside a block does not matter.
 Besides the two tables, the stream holds each row's first emission
 (``row_begin``, 8 bytes per row), one byte per row that marks the block
 starts, and one batch; the pangenome text is never materialized.
@@ -21,7 +22,7 @@ import numpy as np
 
 from .errors import StructureError
 from .graph import PrefixFreeGraph
-from .occurrences import SegmentTable
+from .occurrences import SegmentTable, pangenome_length
 from .suffixes import SuffixTable
 from .validation import check_prefix_free
 
@@ -57,8 +58,8 @@ def emission_batches(
     with_bwt: bool = True,
 ) -> Iterator[Batch]:
     """Yield the emissions in order, in batches cut at block starts."""
-    k = graph.k
     check_prefix_free(graph)
+    expected = pangenome_length(graph)
     head, seg_id = suffix_table.head, suffix_table.seg_id
     counts = np.diff(segment_table.offsets)
     # first emission of each row, then the total; int64, as emission
@@ -69,7 +70,6 @@ def emission_batches(
         row_begin[lo + 1 : lo + 1 + BATCH_EMISSIONS] = counts[seg_id[lo : lo + BATCH_EMISSIONS]]
     np.cumsum(row_begin, out=row_begin)
     total = int(row_begin[-1])
-    expected = int(((segment_table.lengths - k) * counts).sum())
     if total != expected:
         raise StructureError(f"the tables give {total} emissions, expected {expected}")
     # block starts, then the end

@@ -13,16 +13,13 @@ _ID_BASE = 2  # segment id i is stored as symbol i + 2
 
 
 class SegmentTable:
-    """Occurrence columns in CSR layout, one group per segment.
+    """Four occurrence columns in CSR layout, one group per segment.
 
     The occurrences of segment ``i`` are rows ``offsets[i]:offsets[i + 1]``
     of ``start``, ``rank`` and ``prev``, sorted ascending by rank.
     """
 
-    def __init__(
-        self, lengths: np.ndarray, offsets: np.ndarray, start: np.ndarray, rank: np.ndarray, prev: np.ndarray
-    ):
-        self.lengths = lengths  # the graph's int64 segment lengths, pads included
+    def __init__(self, offsets: np.ndarray, start: np.ndarray, rank: np.ndarray, prev: np.ndarray):
         self.offsets = offsets  # int64, one more than the segment count
         self.start = start  # int64 pangenome offset
         # right-context rank (ISA of the following join position), int32 below 2**31 symbols
@@ -53,6 +50,12 @@ def occurrence_starts(graph: PrefixFreeGraph) -> np.ndarray:
     starts = np.zeros(len(widths), dtype=np.int64)
     np.cumsum(widths[:-1], out=starts[1:])
     return starts
+
+
+def pangenome_length(graph: PrefixFreeGraph) -> int:
+    """Letters in the pangenome: each step adds its segment but its last k."""
+    lengths = graph.join.lengths
+    return int(((lengths - graph.k) * np.bincount(graph.steps, minlength=len(lengths))).sum())
 
 
 def preceding_chars(graph: PrefixFreeGraph) -> np.ndarray:
@@ -91,7 +94,6 @@ def build_segment_table(graph: PrefixFreeGraph) -> SegmentTable:
     offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
     np.cumsum(np.bincount(ids, minlength=len(lengths)), out=offsets[1:])
     return SegmentTable(
-        lengths=lengths,
         offsets=offsets,
         start=occurrence_starts(graph)[order],
         rank=ranks[order],

@@ -188,10 +188,9 @@ def annotate(join: SegmentJoin, sa: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     # a segment's positions run to its separator; the sentinel's id is the
     # segment count, and its offset is 0
     starts = np.append(join.boundaries, n - 1).astype(index)
-    seg_id_text = np.repeat(np.arange(len(starts), dtype=index), np.diff(starts, append=n))
-    pos_text = np.arange(n, dtype=index) - starts[seg_id_text]
     sa = np.asarray(sa)
-    return seg_id_text[sa], pos_text[sa]
+    seg_id = np.repeat(np.arange(len(starts), dtype=index), np.diff(starts, append=n))[sa]
+    return seg_id, sa - starts[seg_id]
 
 
 def _reach(text: bytes) -> np.ndarray:

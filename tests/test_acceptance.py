@@ -91,10 +91,10 @@ def test_criterion_2_segment_table_reproduction(running):
     t0 = time.perf_counter()
     table = build_segment_table(graph)
     elapsed = time.perf_counter() - t0
-    ok = table.lengths.tolist() == [4, 3, 5, 3, 4, 5] and elapsed < 1.0
+    ok = graph.join.lengths.tolist() == [4, 3, 5, 3, 4, 5] and elapsed < 1.0
     for sid, (length, rows) in SEGMENT_TABLE_ROWS.items():
         got = [(start, rank) for start, rank, _ in occurrences(table, sid)]
-        ok = ok and got == rows and table.lengths[sid] == length
+        ok = ok and got == rows and graph.join.lengths[sid] == length
     report(2, ok, f"segment table reproduced in {elapsed:.3f}s")
 
 

@@ -56,7 +56,7 @@ class TestRanks:
     def test_running_example_table(self, graph):
         table = build_segment_table(graph)
         for sid, (length, rows) in SEGMENT_TABLE_ROWS.items():
-            assert table.lengths[sid] == length
+            assert graph.join.lengths[sid] == length
             assert [(start, rank) for start, rank, _ in occurrences(table, sid)] == rows
 
     def test_ranks_are_distinct(self, graph):
@@ -98,11 +98,11 @@ class TestPositionOwnership:
         owned = []
         for sid in range(len(graph.segments)):
             for start, _, _ in occurrences(table, sid):
-                owned.extend(range(start, start + table.lengths[sid] - graph.k))
+                owned.extend(range(start, start + graph.join.lengths[sid] - graph.k))
         assert sorted(owned) == list(range(21))
 
     def test_single_segment_graph(self):
         g = make_graph(2, ["AB.."], [("p", [0])])
         table = build_segment_table(g)
-        assert table.lengths.tolist() == [4]
+        assert g.join.lengths.tolist() == [4]
         assert len(occurrences(table, 0)) == 1

@@ -26,6 +26,7 @@ from pfg.suffixes import SuffixTable
 
 from conftest import (
     FULL_SA,
+    RUNNING_SEQUENCES,
     SUFFIX_TABLE_ROWS,
     join_positions,
     make_graph,
@@ -125,6 +126,15 @@ class TestChecks:
         emissions = stream(graph, short, seg)
         with pytest.raises(StructureError, match="20 emissions, expected 21"):
             next(emissions)
+
+    def test_tables_of_another_graph_raise_before_first_row(self, graph, triggers):
+        # a fourth copy of s1 keeps the segment join, so the suffix table
+        # fits both graphs; only the pangenome's length tells them apart
+        other = build_graph(Pangenome(sequences=[*RUNNING_SEQUENCES, ("s4", "CACGTACT")]), triggers)
+        assert other.join.text == graph.join.text
+        batches = emission_batches(graph, build_suffix_table(graph), build_segment_table(other))
+        with pytest.raises(StructureError, match="^the tables give 29 emissions, expected 21$"):
+            next(batches)
 
 
     @pytest.mark.parametrize("k", range(1, 10))
@@ -306,7 +316,7 @@ class TestBatches:
             block_of_row = np.cumsum(suffix_table.head)
             row_of = {key: r for r, key in enumerate(zip(suffix_table.seg_id.tolist(), suffix_table.pos.tolist()))}
             # an occurrence that emits anything has its own start in its segment
-            occurrence_seg = np.repeat(np.arange(len(segment_table.lengths)), np.diff(segment_table.offsets))
+            occurrence_seg = np.repeat(np.arange(len(segment_table.offsets) - 1), np.diff(segment_table.offsets))
             rank_of = dict(
                 zip(zip(occurrence_seg.tolist(), segment_table.start.tolist()), segment_table.rank.tolist())
             )

@@ -1,10 +1,11 @@
 import random
+import tracemalloc
 from functools import cmp_to_key
 
 import numpy as np
 import pytest
 
-from pfg import build_graph, build_suffix_table, suffixes
+from pfg import Pangenome, TriggerSet, build_graph, build_suffix_table, suffixes
 from pfg.graph import _LETTERS, PAD, SENTINEL, SEPARATOR
 from pfg.suffixes import (
     _packed_keys,
@@ -189,6 +190,22 @@ class TestAnnotate:
         assert (seg_id[0], pos[0]) == (6, 0)
         assert (seg_id[1], pos[1]) == (5, 5)
         assert (seg_id[21], pos[21]) == (3, 0)
+
+    def test_peak_is_one_whole_join_column(self):
+        # on the full suffix array the two int32 results and one int32
+        # column over the whole join come to 12 bytes per join symbol; a
+        # second column over the join would pass 13
+        rng = random.Random(3)
+        sequences = [(f"u{j}", "".join(rng.choices("ACGT", k=30_000))) for j in range(16)]
+        join = build_graph(Pangenome(sequences=sequences), TriggerSet.from_words(["TAA", "TAG", "TGA"])).join
+        sa = suffix_array(join.text)
+        tracemalloc.start()
+        try:
+            annotate(join, sa)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 13 * len(join.text)
 
 
 def emitting(graph, head, *columns):
